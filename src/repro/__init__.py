@@ -32,8 +32,7 @@ Subpackages
 ``repro.engine``
     Vectorized batch-evaluation backend (NumPy kernels, memo cache,
     process-pool chunking) behind the facade and the sweep/roadmap
-    hot loops; ``repro.engine.set_backend`` selects
-    ``auto``/``numpy``/``python``.
+    hot loops.
 ``repro.data``
     Table A1 (49 industrial designs) and the reconstructed ITRS-1999
     roadmap.

@@ -322,7 +322,6 @@ def evaluate_many(scenarios, policy: ErrorPolicy = ErrorPolicy.RAISE,
         np.asarray([getattr(s, name) for s in scenarios], dtype=float)
         for name in ("sd", "n_transistors", "feature_um", "n_wafers",
                      "yield_fraction", "cost_per_cm2"))
-    backend = "numpy"
     if policy is ErrorPolicy.RAISE:
         for model, indices in _grouped(scenarios):
             kernel = OperatingPointsKernel(model, *arrays)
@@ -331,7 +330,6 @@ def evaluate_many(scenarios, policy: ErrorPolicy = ErrorPolicy.RAISE,
                 where="api.evaluate_many", equation="4",
                 parameter="scenario", cache=cache)
             costs[indices] = evaluation.values
-            backend = evaluation.backend
         collected: tuple = ()
     else:
         log = None
@@ -350,7 +348,7 @@ def evaluate_many(scenarios, policy: ErrorPolicy = ErrorPolicy.RAISE,
     obs_metrics.observe("api_evaluate_many_scenarios", float(n))
     return [
         ScenarioResult(scenario=scn, cost_per_transistor_usd=float(costs[i]),
-                       area_cm2=_area(scn, guarded), backend=backend)
+                       area_cm2=_area(scn, guarded))
         for i, scn in enumerate(scenarios)
     ]
 

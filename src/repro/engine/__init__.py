@@ -7,8 +7,8 @@ python-level per-point loops. It is the dispatch layer behind
 :mod:`repro.api` Scenario facade:
 
 * :mod:`repro.engine.kernels` — frozen adapters binding one model plus
-  its fixed operating point; each knows a vectorized ``batch``, an
-  exact legacy scalar ``point``, and a dependency-free ``point_py``;
+  its fixed operating point; each knows a vectorized ``batch`` and an
+  exact legacy scalar ``point``;
 * :mod:`repro.engine.core` — :func:`evaluate_grid` (policy-preserving
   dispatch) and :func:`map_scalar` (the scalar-sweep loop);
 * :mod:`repro.engine.cache` — content-addressed memo cache for
@@ -16,33 +16,18 @@ python-level per-point loops. It is the dispatch layer behind
 * :mod:`repro.engine.parallel` — chunked ``ProcessPoolExecutor`` path
   for grids above a size threshold, supervised by
   :mod:`repro.robust.supervision` (chunk deadlines, crash-recovery
-  retries, circuit-breaker degradation, checkpointed resume);
-* :mod:`repro.engine.backend` — ``auto``/``numpy``/``python`` mode
-  selection (:func:`disable` forces the pure-python fallback);
-* :mod:`repro.engine.pykernels` — stdlib-only scalar kernels used when
-  NumPy is absent or the python backend is forced.
+  retries, circuit-breaker degradation, checkpointed resume).
 
 Typical use goes through the re-exports::
 
     from repro import engine
-    with engine.using("python"):
-        ...  # dispatches run the pure-python kernels here
+    engine.evaluate_grid(kernel, grid, where="sweep").values
     engine.cache_stats().hit_rate
 """
 
 from __future__ import annotations
 
-from . import backend, cache, core, kernels, parallel, pykernels
-from .backend import (
-    BACKENDS,
-    current_backend,
-    disable,
-    enable,
-    numpy_available,
-    resolved_backend,
-    set_backend,
-    using,
-)
+from . import cache, core, kernels, parallel
 from .cache import CacheStats, GridCache, grid_fingerprint
 from .cache import clear as clear_cache
 from .cache import configure as configure_cache
@@ -54,31 +39,21 @@ from .parallel import settings as parallel_settings
 from .parallel import supervision_stats
 
 __all__ = [
-    "BACKENDS",
     "CacheStats",
     "GridCache",
     "GridEvaluation",
-    "backend",
     "cache",
     "cache_stats",
     "clear_cache",
     "configure_cache",
     "configure_parallel",
     "core",
-    "current_backend",
-    "disable",
-    "enable",
     "evaluate_grid",
     "grid_fingerprint",
     "kernels",
     "map_scalar",
-    "numpy_available",
     "parallel",
     "parallel_settings",
-    "pykernels",
     "reset_supervision",
-    "resolved_backend",
-    "set_backend",
     "supervision_stats",
-    "using",
 ]

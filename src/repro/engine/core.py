@@ -33,7 +33,6 @@ from ..obs import history as obs_history
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..robust.policy import DiagnosticLog, ErrorPolicy
-from . import backend as _backend
 from . import cache as _cache
 from . import parallel as _parallel
 
@@ -50,12 +49,14 @@ class GridEvaluation:
     ``supervision`` is the :class:`repro.robust.supervision.
     SupervisionReport` of the pooled run (``None`` when the run stayed
     single-process) — retries, pool restarts, degraded chunks,
-    checkpoint preloads, breaker state.
+    checkpoint preloads, breaker state. ``backend`` is always
+    ``"numpy"``; it stays as a field because metrics labels and run
+    history record it.
     """
 
     values: np.ndarray
     diagnostics: tuple
-    backend: str
+    backend: str = "numpy"
     cache_hit: bool = False
     chunks: int = 1
     supervision: object | None = None
@@ -75,14 +76,13 @@ def _store(values: np.ndarray, index: int, result) -> None:
 
 
 def _scalar_loop(kernel, xs: np.ndarray, policy: ErrorPolicy, where: str,
-                 equation: str, parameter: str, *, python: bool):
+                 equation: str, parameter: str):
     """The legacy per-point loop, byte-compatible diagnostics included."""
     log = DiagnosticLog(policy, where, equation=equation)
-    point = kernel.point_py if python else kernel.point
     values = _values_buffer(kernel, xs.size)
     for i, x in enumerate(xs):
         try:
-            result = point(float(x))
+            result = kernel.point(float(x))
         except Exception as exc:  # noqa: BLE001 — capture() re-raises non-ReproError
             if not log.capture(exc, parameter=parameter, value=float(x), index=i):
                 raise
@@ -135,7 +135,7 @@ def _masked_batch(kernel, xs: np.ndarray, policy: ErrorPolicy, where: str,
         # predicate was too optimistic: the whole batch is suspect, so
         # fall back to the exact legacy loop for full diagnostics parity.
         scalar_values, scalar_diags = _scalar_loop(
-            kernel, xs, policy, where, equation, parameter, python=False)
+            kernel, xs, policy, where, equation, parameter)
         return scalar_values, scalar_diags, None, 1
     finite = np.isfinite(values).all(axis=0) if values.ndim > 1 else np.isfinite(values)
     suspects = np.flatnonzero(~(mask & finite))
@@ -154,26 +154,21 @@ def _masked_batch(kernel, xs: np.ndarray, policy: ErrorPolicy, where: str,
     return values, diagnostics, supervision, n_chunks
 
 
-def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, mode: str,
-              where: str, equation: str, parameter: str,
-              cache: bool) -> GridEvaluation:
-    """The policy/backend dispatch body of :func:`evaluate_grid`."""
-    if mode == "python":
-        values, diagnostics = _scalar_loop(kernel, xs, policy, where,
-                                           equation, parameter, python=True)
-        return GridEvaluation(values, diagnostics, "python")
+def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, where: str,
+              equation: str, parameter: str, cache: bool) -> GridEvaluation:
+    """The policy dispatch body of :func:`evaluate_grid`."""
     if policy is not ErrorPolicy.RAISE:
         values, diagnostics, supervision, n_chunks = _masked_batch(
             kernel, xs, policy, where, equation, parameter)
-        return GridEvaluation(values, diagnostics, "numpy",
-                              chunks=n_chunks, supervision=supervision)
+        return GridEvaluation(values, diagnostics, chunks=n_chunks,
+                              supervision=supervision)
     use_cache = cache and _cache.grid_cache.enabled and not obs_trace.is_enabled()
     key = b""
     if use_cache:
         key = _cache.grid_cache.key(kernel.token(), xs)
         hit = _cache.grid_cache.get(key)
         if hit is not None:
-            return GridEvaluation(hit, (), "numpy", cache_hit=True)
+            return GridEvaluation(hit, (), cache_hit=True)
     n_chunks = _parallel.plan_chunks(xs.size)
     supervision = None
     if n_chunks > 1:
@@ -185,14 +180,14 @@ def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, mode: str,
     if use_cache:
         _cache.grid_cache.put(key, values)
     obs_metrics.observe("engine_grid_points", float(xs.size))
-    return GridEvaluation(values, (), "numpy", chunks=n_chunks,
+    return GridEvaluation(values, (), chunks=n_chunks,
                           supervision=supervision)
 
 
 def evaluate_grid(kernel, grid, *, policy=ErrorPolicy.RAISE, where: str,
                   equation: str = "", parameter: str = "x",
                   cache: bool = True) -> GridEvaluation:
-    """Evaluate ``kernel`` over ``grid`` under the configured backend.
+    """Evaluate ``kernel`` over ``grid`` under an error policy.
 
     ``where``/``equation``/``parameter`` feed straight into the
     ``DiagnosticLog``, so rewired call sites keep their historical
@@ -209,13 +204,12 @@ def evaluate_grid(kernel, grid, *, policy=ErrorPolicy.RAISE, where: str,
     """
     policy = ErrorPolicy.coerce(policy)
     xs = np.ascontiguousarray(grid, dtype=float)
-    mode = _backend.resolved_backend()
     enclosing = obs_trace.current_span()
-    with obs_trace.span("engine.evaluate_grid", where=where, backend=mode,
+    with obs_trace.span("engine.evaluate_grid", where=where, backend="numpy",
                         policy=policy.name.lower(),
                         points=int(xs.size)) as sp:
-        result = _dispatch(kernel, xs, policy, mode, where, equation,
-                           parameter, cache)
+        result = _dispatch(kernel, xs, policy, where, equation, parameter,
+                           cache)
         sp.set_attr("chunks", result.chunks)
         sp.set_attr("cache_hit", result.cache_hit)
         report = result.supervision

@@ -246,7 +246,7 @@ def _run_chunk(kernel, chunk: np.ndarray, index: int = 0, attempt: int = 0,
 
 
 def _run_chunk_traced(kernel, chunk: np.ndarray, ctx, index: int,
-                      attempt: int = 0, chaos=None, backend: str = "numpy"):
+                      attempt: int = 0, chaos=None):
     """Worker-side entry for traced runs: evaluate under local telemetry.
 
     Runs the chunk inside a :class:`~repro.obs.telemetry.WorkerTelemetry`
@@ -261,7 +261,7 @@ def _run_chunk_traced(kernel, chunk: np.ndarray, ctx, index: int,
                              points=int(chunk.size)):
             values = kernel.batch(chunk)
             _obs_metrics.inc("engine_worker_points_total", float(chunk.size),
-                             labels={"backend": backend})
+                             labels={"backend": "numpy"})
     if mode == "corrupt":
         values = chaos.corrupt_values(np.asarray(values))
     return values, wt.payload
@@ -322,16 +322,14 @@ def batch_in_chunks(kernel, grid: np.ndarray, n_chunks: int, *,
     """
     if n_chunks <= 1:
         return kernel.batch(grid), None
-    from . import backend as _backend
     chunks = np.array_split(grid, n_chunks)
     ctx = _obs_telemetry.capture_context()
-    backend_name = _backend.resolved_backend()
     chaos = _chaos
     n_outputs = getattr(kernel, "n_outputs", 1)
 
     def _submit(index, attempt):
         args = ((_run_chunk_traced, kernel, chunks[index], ctx, index,
-                 attempt, chaos, backend_name) if ctx is not None
+                 attempt, chaos) if ctx is not None
                 else (_run_chunk, kernel, chunks[index], index, attempt,
                       chaos))
         try:

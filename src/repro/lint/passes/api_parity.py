@@ -224,7 +224,7 @@ class ApiParityPass(LintPass):
         Reads both sides statically — the ``Scenario`` class body in
         ``api.py`` and the literal ``SCENARIO_ROUTES`` table plus the
         request dataclasses in ``serve/schemas.py`` — so the check
-        needs no imports and runs on a stdlib-only interpreter.
+        imports neither module.
         """
         api = project.module_at("api.py")
         schemas = project.module_at("serve/schemas.py")

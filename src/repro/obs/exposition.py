@@ -20,9 +20,6 @@ The machine-scrapable half of the observability layer. Three outputs:
 :func:`write_snapshot` bundles everything (``metrics.prom``,
 ``spans.otlp.json``, ``provenance.json``) into a directory — what the
 CLI's ``--telemetry DIR`` flag and the CI artifact upload call.
-
-Everything here is stdlib-only, so exposition works in deployments
-without NumPy (the engine bridge degrades to a no-op there).
 """
 
 from __future__ import annotations

@@ -43,8 +43,7 @@ report CLI, a CI drift check — never observe a torn record.
 Recording is opt-in and costs nothing when idle: the engine's history
 sink (:func:`note_evaluation`) is one module-global read unless a
 :class:`RunRecorder` is active, mirroring the disabled-observability
-contract. Everything here is stdlib-only (``sqlite3``, ``json``), so
-history works in deployments without NumPy.
+contract. The store itself is plain ``sqlite3`` + ``json``.
 """
 
 from __future__ import annotations
@@ -176,8 +175,8 @@ class RunRecord:
     git_sha / python / platform / constants_version:
         The provenance stamp (see :func:`run_environment`).
     backend:
-        Engine backend the run resolved to (``"numpy"``/``"python"``,
-        or ``""`` when not applicable).
+        Engine backend the run used (``"numpy"``, or ``""`` when not
+        applicable).
     wall_time_s:
         Run wall time in seconds.
     metrics:
@@ -582,11 +581,8 @@ class HistoryStore:
 
 
 def _engine_supervision() -> dict:
-    """The engine's lifetime supervision stats, or ``{}`` without NumPy."""
-    try:
-        from .. import engine
-    except ImportError:
-        return {}
+    """The engine's lifetime supervision stats."""
+    from .. import engine
     return engine.supervision_stats()
 
 

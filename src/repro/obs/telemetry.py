@@ -217,15 +217,11 @@ def bridge_engine_metrics(
     retry_crash|retry_timeout|retry_corrupt|restart|degraded_chunk|
     breaker_opening|checkpoint_saved|checkpoint_loaded}``) together
     with the ``engine_breaker_state`` gauge (1 = open), so snapshots
-    taken with live metrics off still carry the fault history. A no-op
-    when the engine (and hence NumPy) is unavailable, so exposition
-    works in stdlib-only deploys. Returns the registry.
+    taken with live metrics off still carry the fault history. Returns
+    the registry.
     """
     registry = registry if registry is not None else _metrics.get_registry()
-    try:
-        from .. import engine
-    except ImportError:
-        return registry
+    from .. import engine
     stats = engine.cache_stats()
     for event, lifetime in (("hit", stats.hits), ("miss", stats.misses),
                             ("eviction", stats.evictions)):

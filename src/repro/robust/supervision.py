@@ -266,16 +266,6 @@ class CheckpointSink:
         self.saved = 0
         self.loaded = 0
 
-    @staticmethod
-    def _np():
-        try:
-            import numpy
-        except ImportError as exc:  # pragma: no cover - numpy-less deploys
-            raise DomainError(
-                "checkpointed sweeps require numpy (the pooled engine "
-                "path is numpy-only)") from exc
-        return numpy
-
     def _dir(self, fingerprint: str) -> Path:
         return self.root / str(fingerprint)
 
@@ -298,7 +288,7 @@ class CheckpointSink:
 
     def save(self, fingerprint: str, index: int, values) -> None:
         """Atomically persist one completed chunk's values."""
-        np = self._np()
+        import numpy as np  # lazy: repro.obs imports this module
         directory = self._dir(fingerprint)
         directory.mkdir(parents=True, exist_ok=True)
         target = self._chunk_file(directory, index)
@@ -310,7 +300,7 @@ class CheckpointSink:
 
     def load(self, fingerprint: str, n_chunks: int) -> dict:
         """Chunk index → values for every readable persisted chunk."""
-        np = self._np()
+        import numpy as np  # lazy: repro.obs imports this module
         directory = self._dir(fingerprint)
         out: dict[int, object] = {}
         if not directory.is_dir():

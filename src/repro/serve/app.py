@@ -20,11 +20,16 @@ the exception class name:
 condition                                    status
 ===========================================  ======
 malformed JSON / unknown field / bad type    400
+unknown route                                404
+request body over 1 MiB                      413
 evaluation failure under RAISE               422
 rate limit exceeded (``Retry-After`` set)    429
-backend unavailable (``ExecutionError``)     503
-unknown route                                404
+execution failure (``ExecutionError``)       503
 ===========================================  ======
+
+A 503 means the service could not run the evaluation: the
+micro-batcher is closed or its worker died, or the engine pool's
+circuit breaker is open under RAISE.
 
 MASK/COLLECT failures are *not* errors: they return 200 with a
 ``diagnostics`` array (see :mod:`repro.serve.service`).
@@ -197,8 +202,17 @@ def start_server(host: str = "127.0.0.1", port: int = 0, *,
                         retry_after_s=wait_s)
                     self._count(route, 429)
                     return
+            length = int(self.headers.get("Content-Length") or 0)
+            if length > _MAX_BODY_BYTES:
+                self._discard_body(length)
+                self._reply_error(413, _error_body(ExecutionError(
+                    f"request body too large ({length} bytes; "
+                    f"limit {_MAX_BODY_BYTES})")))
+                self._count(route, 413)
+                return
             try:
-                request = _REQUEST_TYPES[route].from_json(self._body())
+                request = _REQUEST_TYPES[route].from_json(
+                    self.rfile.read(length).decode("utf-8"))
             except ReproError as exc:
                 self._reply_error(400, _error_body(exc))
                 self._count(route, 400)
@@ -218,13 +232,14 @@ def start_server(host: str = "127.0.0.1", port: int = 0, *,
             self._reply(200, body, "application/json")
             self._count(route, 200)
 
-        def _body(self) -> str:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > _MAX_BODY_BYTES:
-                raise ExecutionError(
-                    f"request body too large ({length} bytes; "
-                    f"limit {_MAX_BODY_BYTES})")
-            return self.rfile.read(length).decode("utf-8")
+        def _discard_body(self, length: int) -> None:
+            # Drain a rejected body in bounded chunks, so the client
+            # reads the error reply instead of a reset connection.
+            while length > 0:
+                chunk = self.rfile.read(min(length, 1 << 16))
+                if not chunk:
+                    return
+                length -= len(chunk)
 
         def _reply(self, status: int, body: bytes, content_type: str,
                    extra_headers=()) -> None:

@@ -13,11 +13,10 @@ statically checks that each method's parameters are covered by the
 mapped request's fields (same names, same unit suffixes). Adding a
 facade method without a matching route schema fails the build.
 
-This module is deliberately stdlib-only (``json`` + ``dataclasses``):
-it must import on an interpreter without NumPy so a telemetry-only or
-fallback deployment can still speak the protocol.
-``ScenarioPayload.to_scenario`` is the single place the NumPy-backed
-facade is touched, and it imports lazily.
+This module is plain ``json`` + ``dataclasses``.
+``ScenarioPayload.to_scenario`` is the single place the facade is
+touched, and it imports lazily because :mod:`repro.api` imports this
+module.
 """
 
 from __future__ import annotations

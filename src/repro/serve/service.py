@@ -17,22 +17,23 @@ facade. It owns the traffic engineering the tentpole asks for:
   the taxonomy code), MASK/COLLECT return 200 responses carrying a
   ``diagnostics`` array mirroring :class:`repro.robust.DiagnosticLog`.
 
-The module imports the NumPy-backed facade lazily: on a stdlib-only
-interpreter the service still answers ``/evaluate`` through the
-:mod:`repro.engine.pykernels` scalar fallback (grid routes degrade to
-:class:`repro.errors.ExecutionError`, which the HTTP layer maps to
-503).
+The facade (:mod:`repro.api`) is imported lazily inside the methods:
+it imports :mod:`repro.serve.schemas` itself, so a module-level import
+here would be circular.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from pathlib import Path
 
-from ..constants import EQ6_A0, EQ6_P1, EQ6_P2, EQ6_SD0
-from ..errors import CollectedErrors, DomainError, ExecutionError
+import numpy as np
+
+from ..cost.total import PAPER_FIGURE4_MODEL
+from ..engine.cache import GridCache
+from ..errors import CollectedErrors
 from ..obs import metrics as obs_metrics
+from ..robust.policy import ErrorPolicy
 from .batcher import MicroBatcher
 from .schemas import (
     DiagnosticPayload,
@@ -51,46 +52,6 @@ from .schemas import (
 )
 
 __all__ = ["CostService"]
-
-#: 200 mm wafer area in cm² (radius 10 cm), restated as a literal so
-#: the stdlib-only fallback needs no import of the NumPy-backed wafer
-#: package; equals ``WAFER_200MM.area_cm2`` bit-for-bit.
-_WAFER_200MM_AREA_CM2 = math.pi * 10.0 ** 2
-
-#: Lazily file-loaded ``repro.engine.pykernels`` for interpreters where
-#: importing ``repro.engine`` itself fails (NumPy absent).
-_PYKERNELS = None
-
-
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def _pykernels():
-    """The stdlib scalar kernels, importable even without NumPy.
-
-    ``repro.engine``'s package initialiser imports NumPy, so on a
-    stdlib-only interpreter ``pykernels`` is loaded straight from its
-    file (the module is deliberately standalone — see its docstring).
-    """
-    global _PYKERNELS
-    if _PYKERNELS is not None:
-        return _PYKERNELS
-    try:
-        from ..engine import pykernels
-    except ImportError:
-        import importlib.util
-        path = Path(__file__).resolve().parent.parent / "engine" / "pykernels.py"
-        spec = importlib.util.spec_from_file_location(
-            "repro._serve_pykernels", path)
-        pykernels = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(pykernels)
-    _PYKERNELS = pykernels
-    return _PYKERNELS
 
 
 def _diag_payloads(diagnostics) -> tuple:
@@ -121,20 +82,16 @@ class CostService:
 
     def __init__(self, *, cache_entries: int = 256, batch_max: int = 64,
                  batch_wait_s: float = 0.002, batching: bool = True) -> None:
-        self.numpy_backend = _numpy_available()
-        self._cache = None
         # GridCache is not internally synchronised; the serve layer
         # shares one across handler threads, so all access goes
         # through this lock.
         self._cache_lock = threading.Lock()
+        self._cache = GridCache(cache_entries)
         self._batcher = None
-        if self.numpy_backend:
-            from ..engine.cache import GridCache
-            self._cache = GridCache(cache_entries)
-            if batching:
-                self._batcher = MicroBatcher(self._price_batch,
-                                             max_batch=batch_max,
-                                             max_wait_s=batch_wait_s)
+        if batching:
+            self._batcher = MicroBatcher(self._price_batch,
+                                         max_batch=batch_max,
+                                         max_wait_s=batch_wait_s)
 
     def close(self) -> None:
         """Stop the batcher worker thread (idempotent)."""
@@ -154,21 +111,15 @@ class CostService:
         """One engine dispatch for a (possibly coalesced) RAISE batch."""
         from ..api import evaluate_many
         results = evaluate_many(scenarios, cache=False)
-        return [(r.cost_per_transistor_usd, r.area_cm2, r.backend)
-                for r in results]
+        return [(r.cost_per_transistor_usd, r.area_cm2) for r in results]
 
     def _scenario_key(self, payload) -> bytes:
-        import numpy as np
-        from ..cost.total import PAPER_FIGURE4_MODEL
-        from ..engine.cache import GridCache
         token = ("serve.evaluate", repr(PAPER_FIGURE4_MODEL),
                  payload.n_transistors, payload.feature_um, payload.n_wafers,
                  payload.yield_fraction, payload.cost_per_cm2)
         return GridCache.key(token, np.asarray([payload.sd], dtype=float))
 
     def _cache_get(self, payload):
-        if self._cache is None:
-            return None
         key = self._scenario_key(payload)
         with self._cache_lock:
             values = self._cache.get(key)
@@ -177,9 +128,6 @@ class CostService:
         return float(values[0]), float(values[1])
 
     def _cache_put(self, payload, cost: float, area: float) -> None:
-        if self._cache is None:
-            return
-        import numpy as np
         key = self._scenario_key(payload)
         with self._cache_lock:
             self._cache.put(key, np.asarray([cost, area], dtype=float))
@@ -193,18 +141,14 @@ class CostService:
         diagnostic per failure; COLLECT returns the aggregated
         diagnostics with no results when anything failed.
         """
-        if not self.numpy_backend:
-            return self._evaluate_fallback(request)
         if request.policy == "raise":
             return self._evaluate_raise(request.scenarios)
         return self._evaluate_guarded(request)
 
     def _evaluate_raise(self, payloads) -> EvaluateResponse:
-        from ..engine import resolved_backend
         n = len(payloads)
         costs: list = [None] * n
         areas: list = [None] * n
-        backend = resolved_backend()
         misses = []
         for i, payload in enumerate(payloads):
             cached = self._cache_get(payload)
@@ -219,10 +163,9 @@ class CostService:
                 fresh = [f.result() for f in futures]
             else:
                 fresh = self._price_batch(scenarios)
-            for i, (cost, area, fresh_backend) in zip(misses, fresh):
+            for i, (cost, area) in zip(misses, fresh):
                 self._cache_put(payloads[i], cost, area)
                 costs[i], areas[i] = cost, area
-                backend = fresh_backend
         points = tuple(
             EvaluatedPoint(label=payload.label,
                            cost_per_transistor_usd=costs[i],
@@ -230,11 +173,10 @@ class CostService:
                            die_cost_usd=costs[i] * payload.n_transistors,
                            ok=True)
             for i, payload in enumerate(payloads))
-        return EvaluateResponse(results=points, backend=backend)
+        return EvaluateResponse(results=points, backend="numpy")
 
     def _evaluate_guarded(self, request: EvaluateRequest) -> EvaluateResponse:
         from ..api import evaluate_many
-        from ..robust.policy import ErrorPolicy
         scenarios = [p.to_scenario() for p in request.scenarios]
         diagnostics: list = []
         policy = ErrorPolicy.coerce(request.policy)
@@ -244,60 +186,14 @@ class CostService:
         except CollectedErrors as exc:
             return EvaluateResponse(results=(), backend="numpy",
                                     diagnostics=_diag_payloads(exc.diagnostics))
-        backend = results[0].backend if results else "numpy"
         return EvaluateResponse(
             results=tuple(_point_from_result(r) for r in results),
-            backend=backend, diagnostics=_diag_payloads(diagnostics))
+            backend="numpy", diagnostics=_diag_payloads(diagnostics))
 
-    def _evaluate_fallback(self, request: EvaluateRequest) -> EvaluateResponse:
-        """Stdlib-only ``/evaluate``: per-point scalar kernels, no cache."""
-        pyk = _pykernels()
-        points: list = []
-        diagnostics: list = []
-        for index, payload in enumerate(request.scenarios):
-            try:
-                cost = pyk.total_transistor_cost(
-                    payload.sd, payload.n_transistors, payload.feature_um,
-                    payload.n_wafers, payload.yield_fraction,
-                    payload.cost_per_cm2,
-                    wafer_area_cm2=_WAFER_200MM_AREA_CM2, a0=EQ6_A0,
-                    p1=EQ6_P1, p2=EQ6_P2, sd0=EQ6_SD0)
-                area = pyk.area_from_sd(payload.sd, payload.n_transistors,
-                                        payload.feature_um)
-            except ValueError as exc:
-                if request.policy == "raise":
-                    raise DomainError(str(exc)) from exc
-                diagnostics.append(DiagnosticPayload(
-                    where="serve.evaluate", equation="4",
-                    parameter="scenario", value=payload.label or None,
-                    index=index, error_type="DomainError",
-                    message=str(exc)))
-                points.append(EvaluatedPoint(
-                    label=payload.label, cost_per_transistor_usd=None,
-                    area_cm2=None, die_cost_usd=None, ok=False))
-                continue
-            points.append(EvaluatedPoint(
-                label=payload.label, cost_per_transistor_usd=cost,
-                area_cm2=area, die_cost_usd=cost * payload.n_transistors,
-                ok=True))
-        if request.policy == "collect" and diagnostics:
-            return EvaluateResponse(results=(), backend="python",
-                                    diagnostics=tuple(diagnostics))
-        return EvaluateResponse(results=tuple(points), backend="python",
-                                diagnostics=tuple(diagnostics))
-
-    # -- grid routes (NumPy-backed facade methods) -----------------------
-
-    def _require_numpy(self, route: str) -> None:
-        if not self.numpy_backend:
-            raise ExecutionError(
-                f"/{route} needs the NumPy evaluation backend, which is "
-                "not available on this interpreter")
+    # -- grid routes -----------------------------------------------------
 
     def sweep(self, request: SweepRequest) -> SweepResponse:
         """``Scenario.sweep`` over HTTP (one grid job per request)."""
-        self._require_numpy("sweep")
-        from ..robust.policy import ErrorPolicy
         scenario = request.scenario.to_scenario()
         policy = ErrorPolicy.coerce(request.policy)
         try:
@@ -321,9 +217,7 @@ class CostService:
 
     def pareto(self, request: ParetoRequest) -> ParetoResponse:
         """``Scenario.pareto`` over HTTP: the front plus its knee."""
-        self._require_numpy("pareto")
         from ..optimize import knee_point
-        from ..robust.policy import ErrorPolicy
         scenario = request.scenario.to_scenario()
         policy = ErrorPolicy.coerce(request.policy)
         diagnostics: list = []
@@ -349,8 +243,6 @@ class CostService:
 
     def sensitivity(self, request: SensitivityRequest) -> SensitivityResponse:
         """``Scenario.sensitivity`` over HTTP: parameter elasticities."""
-        self._require_numpy("sensitivity")
-        from ..robust.policy import ErrorPolicy
         scenario = request.scenario.to_scenario()
         policy = ErrorPolicy.coerce(request.policy)
         try:
@@ -366,7 +258,6 @@ class CostService:
 
     def optimal_sd(self, request: OptimalSdRequest) -> OptimalSdResponse:
         """``Scenario.optimal_sd`` over HTTP (RAISE semantics only)."""
-        self._require_numpy("optimal_sd")
         from ..robust import DEFAULT_RETRY_BUDGET
         scenario = request.scenario.to_scenario()
         retry = DEFAULT_RETRY_BUDGET if request.retry else None
@@ -381,9 +272,7 @@ class CostService:
     # -- metrics ---------------------------------------------------------
 
     def cache_stats(self):
-        """The shared memo cache's counters (``None`` without NumPy)."""
-        if self._cache is None:
-            return None
+        """The shared memo cache's counters."""
         with self._cache_lock:
             return self._cache.stats()
 
@@ -399,26 +288,23 @@ class CostService:
         hit|miss|eviction}``, ``serve_batch_lifetime_total{event=
         batch|request|fallback}``) so repeated bridging never
         double-counts, plus current-state gauges
-        (``serve_backend_numpy``, ``serve_cache_entries``,
+        (``serve_cache_entries``,
         ``serve_cache_hit_rate``, ``serve_batch_largest``). Returns the
         registry.
         """
         registry = (registry if registry is not None
                     else obs_metrics.get_registry())
-        registry.gauge("serve_backend_numpy").set(
-            1.0 if self.numpy_backend else 0.0)
         stats = self.cache_stats()
-        if stats is not None:
-            for event, lifetime in (("hit", stats.hits),
-                                    ("miss", stats.misses),
-                                    ("eviction", stats.evictions)):
-                counter = registry.counter("serve_cache_lifetime_total",
-                                           {"event": event})
-                delta = lifetime - counter.value
-                if delta > 0:
-                    counter.inc(delta)
-            registry.gauge("serve_cache_entries").set(stats.entries)
-            registry.gauge("serve_cache_hit_rate").set(stats.hit_rate)
+        for event, lifetime in (("hit", stats.hits),
+                                ("miss", stats.misses),
+                                ("eviction", stats.evictions)):
+            counter = registry.counter("serve_cache_lifetime_total",
+                                       {"event": event})
+            delta = lifetime - counter.value
+            if delta > 0:
+                counter.inc(delta)
+        registry.gauge("serve_cache_entries").set(stats.entries)
+        registry.gauge("serve_cache_hit_rate").set(stats.hit_rate)
         batcher = self.batcher_stats()
         if batcher is not None:
             for event, lifetime in (("batch", batcher["batches"]),

@@ -3,11 +3,14 @@
 The reproduction contract of :mod:`repro.engine` is numerical and
 behavioural identity with the per-point loops it replaced: same values
 (to <=1e-12 relative), same diagnostics under MASK/COLLECT, same
-results from the pure-python backend and from the chunked pool path.
+results from the chunked pool path. ``kernel.point`` is the scalar
+reference every batch result is held to.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cost import DEFAULT_GENERALIZED_MODEL, PAPER_FIGURE4_MODEL
 from repro.data import DesignRegistry, load_itrs_1999
@@ -17,7 +20,6 @@ from repro.engine import (
     configure_parallel,
     evaluate_grid,
     parallel_settings,
-    using,
 )
 from repro.engine import parallel as engine_parallel
 from repro.engine.kernels import (
@@ -25,10 +27,11 @@ from repro.engine.kernels import (
     Eq4SdKernel,
     Eq4VolumeKernel,
     Eq7SdKernel,
+    OperatingPointsKernel,
 )
 from repro.errors import CollectedErrors
 from repro.optimize import sd_grid
-from repro.robust import ErrorPolicy
+from repro.robust import DiagnosticLog, ErrorPolicy
 
 FIG4A = dict(n_transistors=1e7, feature_um=0.18, n_wafers=5_000,
              yield_fraction=0.4, cost_per_cm2=8.0)
@@ -107,43 +110,105 @@ class TestBatchScalarParity:
             evaluation.values, scalar_reference(kernel, grid)) <= 1e-12
 
 
-class TestPythonBackend:
-    def test_python_backend_matches_numpy(self):
-        kernel = Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A)
-        grid = GRIDS["figure4"]
-        reference = evaluate_grid(kernel, grid, where="test.parity",
-                                  cache=False).values
-        with using("python"):
-            evaluation = evaluate_grid(kernel, grid, where="test.parity",
-                                       cache=False)
-        assert evaluation.backend == "python"
-        assert max_relative_error(evaluation.values, reference) <= 1e-12
+#: Hypothesis draw ranges. ``s_d`` spans the Table-A1 and ITRS grids;
+#: the operating point spans Table-A1 and ITRS feature sizes and
+#: paper-era volumes, yields and $/cm².
+_SD_LO = float(min(TABLE_A1_SD.min(), ITRS_SD.min()))
+_SD_HI = float(max(TABLE_A1_SD.max(), ITRS_SD.max()))
+feasible_sds = st.floats(min_value=_SD_LO, max_value=_SD_HI)
+infeasible_sds = st.floats(min_value=1.0, max_value=_SD0)
+any_sds = st.one_of(feasible_sds, infeasible_sds)
+operating_points = st.fixed_dictionaries({
+    "n_transistors": st.floats(min_value=1e5, max_value=2e9),
+    "feature_um": st.floats(min_value=0.035, max_value=1.5),
+    "n_wafers": st.floats(min_value=100.0, max_value=1e6),
+    "yield_fraction": st.floats(min_value=0.05, max_value=1.0),
+    "cost_per_cm2": st.floats(min_value=1.0, max_value=50.0),
+})
 
-    def test_python_backend_eq7_matches_numpy(self):
-        kernel = Eq7SdKernel(DEFAULT_GENERALIZED_MODEL, n_transistors=1e7,
-                             feature_um=0.18, n_wafers=5_000)
-        grid = GRIDS["itrs"]
-        reference = evaluate_grid(kernel, grid, where="test.parity",
-                                  cache=False).values
-        with using("python"):
-            evaluation = evaluate_grid(kernel, grid, where="test.parity",
-                                       cache=False)
-        assert max_relative_error(evaluation.values, reference) <= 1e-12
 
-    def test_python_backend_mask_diagnostics_match_numpy(self):
-        kernel = Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A)
-        grid = np.array([50.0, 300.0, 400.0, 60.0])
-        numpy_eval = evaluate_grid(kernel, grid, policy=ErrorPolicy.MASK,
-                                   where="test.parity", equation="4",
-                                   parameter="sd", cache=False)
-        with using("python"):
-            python_eval = evaluate_grid(kernel, grid, policy=ErrorPolicy.MASK,
-                                        where="test.parity", equation="4",
-                                        parameter="sd", cache=False)
-        np.testing.assert_array_equal(np.isnan(numpy_eval.values),
-                                      np.isnan(python_eval.values))
-        assert ([str(d) for d in numpy_eval.diagnostics]
-                == [str(d) for d in python_eval.diagnostics])
+def _draw_case(draw, kernel_name, sd):
+    """One kernel plus a grid of its swept parameter; ``sd`` draws s_d."""
+    op = draw(operating_points)
+    sd_grids = st.lists(sd, min_size=1, max_size=12)
+    if kernel_name == "eq4_sd":
+        return Eq4SdKernel(PAPER_FIGURE4_MODEL, **op), draw(sd_grids)
+    if kernel_name == "objectives":
+        return DesignObjectivesKernel(PAPER_FIGURE4_MODEL, **op), draw(sd_grids)
+    if kernel_name == "eq7_sd":
+        kernel = Eq7SdKernel(
+            DEFAULT_GENERALIZED_MODEL, n_transistors=op["n_transistors"],
+            feature_um=op["feature_um"], n_wafers=op["n_wafers"],
+            maturity=draw(st.floats(min_value=0.05, max_value=1.0)))
+        return kernel, draw(sd_grids)
+    if kernel_name == "eq4_volume":
+        volumes = st.floats(min_value=100.0, max_value=1e6)
+        op.pop("n_wafers")
+        kernel = Eq4VolumeKernel(PAPER_FIGURE4_MODEL, sd=draw(sd), **op)
+        return kernel, draw(st.lists(volumes, min_size=1, max_size=12))
+    rows = draw(st.lists(st.tuples(sd, operating_points),
+                         min_size=1, max_size=12))
+    columns = {name: np.array([row[name] for _, row in rows])
+               for name in rows[0][1]}
+    kernel = OperatingPointsKernel(
+        PAPER_FIGURE4_MODEL, sd=np.array([x for x, _ in rows]), **columns)
+    return kernel, list(range(len(rows)))
+
+
+KERNEL_NAMES = ("eq4_sd", "eq7_sd", "eq4_volume", "objectives",
+                "operating_points")
+
+
+def per_point_loop(kernel, grid, where, equation, parameter):
+    """The per-point MASK loop: ``kernel.point`` with diagnostic capture."""
+    log = DiagnosticLog(ErrorPolicy.MASK, where, equation=equation)
+    results = []
+    for i, x in enumerate(grid):
+        try:
+            results.append(kernel.point(float(x)))
+        except Exception as exc:  # noqa: BLE001 — capture() re-raises non-ReproError
+            if not log.capture(exc, parameter=parameter, value=float(x),
+                               index=i):
+                raise
+            results.append(np.full(kernel.n_outputs, np.nan)
+                           if kernel.n_outputs > 1 else np.nan)
+    return np.array(results, dtype=float).T, log.finish()
+
+
+def assert_close_where_finite(values, reference):
+    values = np.asarray(values, dtype=float)
+    np.testing.assert_array_equal(np.isnan(values), np.isnan(reference))
+    finite = ~np.isnan(reference)
+    if finite.any():
+        assert max_relative_error(values[finite], reference[finite]) <= 1e-12
+
+
+@pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
+class TestScalarBatchProperty:
+    """Batch vs ``kernel.point`` agreement as a property, per kernel."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_batch_matches_point(self, kernel_name, data):
+        kernel, grid = _draw_case(data.draw, kernel_name, feasible_sds)
+        evaluation = evaluate_grid(kernel, grid, where="test.property",
+                                   cache=False)
+        assert evaluation.backend == "numpy"
+        assert max_relative_error(
+            evaluation.values, scalar_reference(kernel, grid)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mask_diagnostics_match_per_point_loop(self, kernel_name, data):
+        kernel, grid = _draw_case(data.draw, kernel_name, any_sds)
+        evaluation = evaluate_grid(kernel, grid, policy=ErrorPolicy.MASK,
+                                   where="test.property", equation="4",
+                                   parameter="x", cache=False)
+        reference, diagnostics = per_point_loop(kernel, grid, "test.property",
+                                                "4", "x")
+        assert_close_where_finite(evaluation.values, reference)
+        assert ([str(d) for d in evaluation.diagnostics]
+                == [str(d) for d in diagnostics])
 
 
 class TestMaskCollect:

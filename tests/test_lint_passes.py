@@ -99,14 +99,21 @@ def test_error_taxonomy_rules(tmp_path):
 def test_error_taxonomy_allows_capture_reraise_and_exempts(tmp_path):
     result = run_pass(tmp_path, ErrorTaxonomyPass(), {
         "good.py": """
+            from repro.errors import DomainError
+
             def f(log):
                 try:
                     pass
                 except Exception as exc:
                     if not log.capture(exc):
                         raise
+
+            def g(x):
+                if x < 0:
+                    raise DomainError("no")
         """,
         "errors.py": "raise ValueError('defining module may raise builtins')\n",
+        "validation.py": "raise ValueError('validators may raise builtins')\n",
     })
     assert result.findings == ()
 

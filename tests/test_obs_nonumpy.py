@@ -1,15 +1,14 @@
-"""The telemetry/exposition stack must work with NumPy entirely absent.
+"""The telemetry/exposition stack imports without NumPy.
 
-The obs package is stdlib-only by design: a scrape endpoint or a
-pooled-worker payload must not drag the numeric stack into a process
-that only forwards telemetry. This file loads ``repro.obs`` under an
-import hook that *blocks* ``numpy`` — with synthetic ``repro`` /
-``repro.report`` package stubs so the package ``__init__`` (which
-imports the NumPy-backed model modules) never runs — then exercises
-the propagation round trip and the Prometheus render/parse path.
-
-Like ``test_engine_nonumpy.py``, every import here is lazy so the CI
-``no-numpy`` job can run this file on a stdlib-only interpreter.
+The obs package never imports NumPy at module level: a scrape endpoint
+or a pooled-worker payload must not drag the numeric stack into a
+process that only forwards telemetry. This file loads ``repro.obs``
+under an import hook that *blocks* ``numpy`` — with synthetic
+``repro`` / ``repro.report`` package stubs so the package ``__init__``
+(which imports the NumPy-backed model modules) never runs — then
+exercises the propagation round trip, the Prometheus render/parse
+path, the snapshot bundle and the run-history store. The engine bridge
+imports the engine lazily at call time, once the real package is back.
 """
 
 import importlib
@@ -109,30 +108,6 @@ def test_render_parse_round_trip(nobs):
     assert samples["scrapes_total"]["value"] == 2.0
     assert samples["scrapes_total"]["labels"] == {"job": "nonumpy"}
     assert samples["payload_bytes_count"]["value"] == 1.0
-
-
-def test_bridge_is_a_noop_without_the_engine(nobs):
-    # The engine imports NumPy, which is blocked: bridging must quietly
-    # skip rather than fail a scrape on a telemetry-only interpreter.
-    # The bridge imports the engine lazily at *call* time, so the
-    # numpy-less world has to be rebuilt around the call itself.
-    blocker = _NumpyBlocker()
-    hidden = {name: sys.modules.pop(name) for name in list(sys.modules)
-              if name.split(".")[0] in ("numpy", "repro")}
-    sys.meta_path.insert(0, blocker)
-    repro_stub = types.ModuleType("repro")
-    repro_stub.__path__ = [str(SRC / "repro")]
-    sys.modules["repro"] = repro_stub
-    try:
-        reg = nobs.MetricsRegistry()
-        nobs.bridge_engine_metrics(reg)
-        assert reg.is_empty()
-    finally:
-        sys.meta_path.remove(blocker)
-        for name in list(sys.modules):
-            if name.split(".")[0] == "repro":
-                del sys.modules[name]
-        sys.modules.update(hidden)
 
 
 def test_snapshot_bundle_without_numpy(nobs, tmp_path):

@@ -94,6 +94,7 @@ class TestWorkerRoundTrip:
         obs.disable()
         payload = self._one_task(ctx)
         assert isinstance(payload, TelemetryPayload)
+        assert payload.pid > 0
         assert payload.trace_id == ctx.trace_id
         # Spans land in finish order: inner closes before outer.
         assert [d["name"] for d in payload.spans] == \

@@ -9,7 +9,7 @@ dataclasses on both ends. Pinned here:
 * the acceptance burst: 64 concurrent ``/evaluate`` clients produce
   results bit-identical to sequential ``Scenario.evaluate`` calls,
   with a cache hit-rate > 0 visible in ``/metrics``;
-* rate limiting (429 + ``Retry-After``), 400/404 mapping, and the
+* rate limiting (429 + ``Retry-After``), 400/404/413 mapping, and the
   request span/counter telemetry.
 """
 
@@ -190,6 +190,18 @@ class TestErrorContract:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
         assert "ghz" in json.loads(excinfo.value.read())["message"]
+
+    @pytest.mark.parametrize("n_values", [100_000, 400_000])
+    def test_oversized_body_is_413(self, client, n_values):
+        # 100k values encode to ~1.9 MB, past the 1 MiB cap; at 400k
+        # (~7.6 MB) the client is still sending when the reply is due,
+        # so the server must drain the body or the client sees a reset.
+        values = [300.0 + i / 7.0 for i in range(n_values)]
+        assert len(json.dumps(values)) > 1 << 20
+        with pytest.raises(ServeError) as excinfo:
+            client.sweep(BASE, values=values)
+        assert excinfo.value.status == 413
+        assert "too large" in excinfo.value.error.message
 
     def test_unknown_route_is_404(self, server):
         request = urllib.request.Request(
