@@ -2,7 +2,7 @@
 
 The obs contract (``docs/observability.md``) is that a disabled
 tracer costs essentially nothing: ``enabled()`` is one global read,
-``span()``/``observe_duration()`` return immediately, and model code
+``span()``/``observe()`` return immediately, and model code
 never pays for instrumentation it did not ask for. This micro-bench
 measures those paths directly — the disabled guards, plus the enabled
 :class:`repro.obs.DurationSketch.observe` hot loop that every span
@@ -48,9 +48,9 @@ def _loop_disabled_span() -> None:
             pass
 
 
-def _loop_disabled_observe_duration() -> None:
+def _loop_disabled_observe() -> None:
     for _ in range(CALLS):
-        obs.observe_duration("bench.noop", 1e-3)
+        obs.observe("bench_noop", 1e-3)
 
 
 def _loop_sketch_observe() -> None:
@@ -86,8 +86,7 @@ def regenerate_overhead():
     rows = [
         ("obs.enabled() [disabled]", _ns_per_call(_loop_enabled_check)),
         ("obs.span() [disabled]", _ns_per_call(_loop_disabled_span)),
-        ("obs.observe_duration() [disabled]",
-         _ns_per_call(_loop_disabled_observe_duration)),
+        ("obs.observe() [disabled]", _ns_per_call(_loop_disabled_observe)),
         ("obs.inc() labeled [disabled]",
          _ns_per_call(_loop_disabled_labeled_inc)),
         ("obs.capture_context() [disabled]",
@@ -120,7 +119,7 @@ def test_obs_overhead(benchmark, save_artifact):
     # only a broken guard (e.g. allocating a span while disabled) can
     # breach, not timer jitter.
     assert costs["obs.enabled() [disabled]"] < 2_000
-    assert costs["obs.observe_duration() [disabled]"] < 2_000
+    assert costs["obs.observe() [disabled]"] < 2_000
     assert costs["obs.span() [disabled]"] < 10_000
     # Labeled metrics and trace propagation keep the same disabled
     # contract: one global read, no label freezing, no context capture.

@@ -7,21 +7,16 @@ are inspectable without re-running anything.
 
 The harness also times every bench with the monotonic
 :class:`repro.obs.Stopwatch` and, at session end, writes the wall
-times twice:
-
-* ``benchmarks/output/bench_report.json`` — the schema-versioned
-  ``repro-bench/1`` document (schema id, git SHA, python version,
-  repeat count) that ``python -m repro.bench --compare`` understands;
-* ``benchmarks/output/bench_times.json`` — the legacy
-  ``{"unit", "times"}`` shape, kept as a compat alias for older
-  BENCH_*.json tooling.
+times to ``benchmarks/output/bench_report.json`` — the
+schema-versioned ``repro-bench/1`` document (schema id, git SHA,
+python version, repeat count) that ``python -m repro.bench --compare``
+understands.
 
 The pytest harness measures each bench once (``repeats = 1``, so MAD
 is 0); the statistical trajectory with warmup and repeats comes from
 ``python -m repro.bench``.
 """
 
-import json
 import sys
 from pathlib import Path
 
@@ -69,7 +64,7 @@ def pytest_runtest_call(item):
 
 
 def pytest_sessionfinish(session):
-    """Dump the collected wall times (schema report + legacy alias)."""
+    """Dump the collected wall times as a schema report."""
     if not _BENCH_TIMES:
         return
     OUTPUT_DIR.mkdir(exist_ok=True)
@@ -79,9 +74,3 @@ def pytest_sessionfinish(session):
     }
     write_report(OUTPUT_DIR / "bench_report.json",
                  make_report(benches, repeats=1, warmup=0))
-    legacy = {
-        "unit": "seconds",
-        "times": dict(sorted(_BENCH_TIMES.items())),
-    }
-    (OUTPUT_DIR / "bench_times.json").write_text(
-        json.dumps(legacy, indent=2) + "\n")

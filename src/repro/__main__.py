@@ -14,7 +14,7 @@ the bare report):
     Append the hierarchical span tree of the evaluations behind the
     report (see :mod:`repro.obs`).
 ``--metrics``
-    Append the counter/gauge/histogram table.
+    Append the counter/gauge/sketch tables.
 ``--profile``
     Append the per-span-name timing roll-up (calls, total/self/mean).
 ``--permissive``

@@ -44,7 +44,6 @@ from .runner import (
 )
 from .schema import (
     SCHEMA_ID,
-    bench_environment,
     load_report,
     make_report,
     validate_report,
@@ -61,7 +60,6 @@ __all__ = [
     "run_suite",
     # schema
     "SCHEMA_ID",
-    "bench_environment",
     "load_report",
     "make_report",
     "validate_report",

@@ -1,14 +1,16 @@
 """The performance-regression gate: compare two bench reports.
 
 A wall-time diff is only meaningful relative to the measurement noise,
-so the gate derives a per-bench threshold from the repeats' MAD::
+so the gate derives a per-bench relative threshold from the repeats'
+MAD with :func:`repro.obs.history.noise_band` — the same noise model
+the run-history drift detector uses — in units of the baseline median::
 
-    noise     = mad_scale * 1.4826 * max(mad_base, mad_cur) / median_base
-    threshold = max(min_rel, noise)
+    mad       = max(mad_base, mad_cur)
+    threshold = max(min_rel, mad_scale * sigma(mad) / median_base)
 
-(1.4826 rescales a MAD to a normal-equivalent σ; ``mad_scale`` defaults
-to 3, i.e. a 3σ band.) A bench whose median moved beyond the threshold
-in either direction is a **regression** or an **improvement**;
+(``sigma`` rescales a MAD to a normal-equivalent σ; ``mad_scale``
+defaults to 3, i.e. a 3σ band.) A bench whose median moved beyond the
+threshold in either direction is a **regression** or an **improvement**;
 everything else is **within-noise**. Benches present on only one side
 are reported (``new`` / ``missing``) but never fail the gate — adding
 a bench must not break CI retroactively.
@@ -23,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import DomainError
+from ..obs.history import noise_band
 from ..report.tables import format_table
 from .schema import validate_report
 
@@ -44,8 +47,6 @@ WITHIN_NOISE = "within-noise"
 NEW = "new"
 MISSING = "missing"
 
-#: MAD → normal-σ scale factor.
-_MAD_TO_SIGMA = 1.4826
 #: Floor for a baseline median, so ratio math never divides by zero.
 _MIN_MEDIAN = 1e-9
 
@@ -124,9 +125,9 @@ def _verdict_for(name: str, base_row: dict, cur_row: dict,
     base_median = float(base_row["median"])
     cur_median = float(cur_row["median"])
     denom = max(base_median, _MIN_MEDIAN)
-    noise = (mad_scale * _MAD_TO_SIGMA
-             * max(float(base_row["mad"]), float(cur_row["mad"])) / denom)
-    threshold = max(min_rel, noise)
+    mad = max(float(base_row["mad"]), float(cur_row["mad"]))
+    threshold = noise_band(1.0, mad / denom, min_rel=min_rel,
+                           mad_scale=mad_scale, min_abs=0.0)
     ratio = cur_median / denom
     if ratio > 1.0 + threshold:
         status = REGRESSION

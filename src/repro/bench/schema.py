@@ -11,15 +11,17 @@ regression gate can compare any two of them::
       "unit": "seconds",
       "repeats": 5,
       "warmup": 1,
-      "environment": {"git_sha": "...", "python": "3.12.3", "platform": "..."},
+      "environment": {"git_sha": "...", "python": "3.12.3", "platform": "...",
+                      "constants_version": "..."},
       "benches": {
         "figure4": {"min": 0.051, "median": 0.053, "mad": 0.001, "repeats": 5}
       }
     }
 
 ``min``/``median``/``mad`` are seconds; ``mad`` is the raw median
-absolute deviation of the repeats (scale it by 1.4826 for a normal-σ
-estimate, which :mod:`repro.bench.compare` does). Schema or shape
+absolute deviation of the repeats (:mod:`repro.bench.compare` turns it
+into a noise band). ``environment`` is the
+:func:`repro.obs.history.run_environment` stamp. Schema or shape
 violations raise :class:`repro.errors.DataError` so a corrupted
 baseline fails the gate loudly instead of comparing garbage.
 """
@@ -28,16 +30,14 @@ from __future__ import annotations
 
 import json
 import math
-import platform
-import subprocess
 import time
 from pathlib import Path
 
 from ..errors import DataError, DomainError
+from ..obs.history import run_environment
 
 __all__ = [
     "SCHEMA_ID",
-    "bench_environment",
     "load_report",
     "make_report",
     "validate_report",
@@ -49,28 +49,6 @@ SCHEMA_ID = "repro-bench/1"
 
 #: Per-bench statistics every report row must carry.
 _ROW_KEYS = ("min", "median", "mad", "repeats")
-
-
-def _git_sha(cwd: Path | None = None) -> str:
-    """The short git SHA of ``cwd``'s checkout, or ``"unknown"``."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=None if cwd is None else str(cwd))
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
-
-
-def bench_environment(cwd: Path | None = None) -> dict:
-    """Provenance of a bench run: git SHA, python version, platform."""
-    return {
-        "git_sha": _git_sha(cwd),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
 
 
 def make_report(benches: dict, *, repeats: int, warmup: int,
@@ -85,7 +63,8 @@ def make_report(benches: dict, *, repeats: int, warmup: int,
     repeats / warmup:
         The suite-level measurement protocol recorded for provenance.
     environment:
-        Override for :func:`bench_environment` (tests pin this).
+        Override for :func:`repro.obs.history.run_environment` (tests
+        pin this).
     generated:
         ISO timestamp override; defaults to the current UTC time.
     """
@@ -106,7 +85,7 @@ def make_report(benches: dict, *, repeats: int, warmup: int,
         "repeats": int(repeats),
         "warmup": int(warmup),
         "environment": (environment if environment is not None
-                        else bench_environment()),
+                        else run_environment()),
         "benches": {name: {k: row[k] for k in _ROW_KEYS}
                     for name, row in sorted(benches.items())},
     }, where="assembled report")

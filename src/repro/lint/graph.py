@@ -62,9 +62,8 @@ __all__ = [
 #: Gated observability helpers — calls to these names are exempt from
 #: effect analysis (see module docstring).
 INSTRUMENTATION_CALLS = frozenset({
-    "inc", "observe", "set_gauge", "observe_duration", "span",
-    "record_provenance", "attach", "counter", "gauge", "histogram",
-    "sketch",
+    "inc", "observe", "set_gauge", "span", "record_provenance", "attach",
+    "counter", "gauge", "sketch",
 })
 
 #: Method names that mutate their receiver in place.

@@ -11,11 +11,11 @@ policy-threading pass, plus the single-point solvers (``optimal_*``):
   neither ``@traced`` nor instrumented via
   ``record_provenance``/metrics calls;
 * ``OBS002`` — a ``@traced`` function (a hot path by construction)
-  constructs a metric object (``Counter``, ``Gauge``, ``Histogram``,
+  constructs a metric object (``Counter``, ``Gauge``,
   ``DurationSketch``, ``MetricsRegistry``) per call. Metric objects
   must live in the registry (get-or-create once) or be reached through
   the gated module-level helpers (``inc`` / ``observe`` /
-  ``set_gauge`` / ``observe_duration``); allocating them inside the
+  ``set_gauge``); allocating them inside the
   traced body defeats the near-zero-cost disabled path the overhead
   guard enforces;
 * ``OBS003`` — a literal metric name or label key passed to the
@@ -53,13 +53,12 @@ _INSTRUMENTATION_CALLS = frozenset({
 
 #: Metric classes that must never be constructed inside a traced body.
 _METRIC_CLASSES = frozenset({
-    "Counter", "Gauge", "Histogram", "DurationSketch", "MetricsRegistry",
+    "Counter", "Gauge", "DurationSketch", "MetricsRegistry",
 })
 
 #: Metrics-API calls whose literal first argument is a metric name.
 _METRIC_NAME_CALLS = frozenset({
-    "inc", "counter", "observe", "set_gauge", "gauge", "histogram",
-    "sketch", "observe_duration",
+    "inc", "counter", "observe", "set_gauge", "gauge", "sketch",
 })
 
 #: The subset that names counters (must carry the ``_total`` suffix).
@@ -133,7 +132,7 @@ class ObsWiringPass(LintPass):
                         f"@traced {fn.name}() constructs {name}() per call",
                         suggestion="hoist the metric out of the hot path or "
                                    "use the gated helpers "
-                                   "(inc/observe/set_gauge/observe_duration)")
+                                   "(inc/observe/set_gauge)")
 
     def _check_metric_names(self, project: LintProject,
                             module) -> Iterator[Finding]:
@@ -171,7 +170,7 @@ class ObsWiringPass(LintPass):
         """Literal ``labels={...}`` dict keys must be snake_case."""
         candidates = [kw.value for kw in node.keywords if kw.arg == "labels"]
         # Registry get-or-create methods also take labels positionally.
-        if call in ("counter", "gauge", "histogram") and len(node.args) >= 2:
+        if call in ("counter", "gauge", "sketch") and len(node.args) >= 2:
             candidates.append(node.args[1])
         for cand in candidates:
             if not isinstance(cand, ast.Dict):

@@ -2,7 +2,7 @@
 
 Every public model evaluation in this library can report *what it did*
 (hierarchical timed spans), *how often and how large* (counters,
-gauges, histograms), and *where each number came from* (provenance:
+gauges, sketches), and *where each number came from* (provenance:
 paper equation, parameters, dataset rows). All three share one global
 switch — :func:`enable` / :func:`disable` — and cost a single branch
 per instrumented call while disabled, so production hot paths are
@@ -46,14 +46,12 @@ from .instrument import enabled, span_name_for, traced
 from .metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     freeze_labels,
     get_registry,
     inc,
     metric_key,
     observe,
-    observe_duration,
     set_gauge,
 )
 from .telemetry import (
@@ -133,14 +131,12 @@ __all__ = [
     # metrics
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "freeze_labels",
     "get_registry",
     "inc",
     "metric_key",
     "observe",
-    "observe_duration",
     "set_gauge",
     # telemetry
     "TelemetryPayload",

@@ -16,7 +16,6 @@ Three consumers, three formats:
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from ..report.tables import format_table
@@ -56,8 +55,10 @@ def export_jsonl(path, tracer: "_trace.Tracer | None" = None,
     """Write spans, metrics, and provenance to a JSON-lines file.
 
     Each line is a JSON object tagged ``type`` (``span`` / ``metric``
-    / ``provenance``). Defaults to the process-global stores; pass
-    explicit objects to export a subset. Returns the line count.
+    / ``provenance``); a metric line is one
+    :meth:`~repro.obs.metrics.MetricsRegistry.to_dict` entry plus its
+    ``kind``. Defaults to the process-global stores; pass explicit
+    objects to export a subset. Returns the line count.
     """
     tracer = tracer if tracer is not None else _trace.get_tracer()
     registry = registry if registry is not None else _metrics.get_registry()
@@ -65,34 +66,10 @@ def export_jsonl(path, tracer: "_trace.Tracer | None" = None,
     lines: list[str] = []
     for sp in tracer.spans:
         lines.append(json.dumps(span_to_dict(sp)))
-    for c in registry.counters.values():
-        lines.append(json.dumps(
-            {"type": "metric", "name": c.name,
-             "labels": [list(kv) for kv in c.labels],
-             "kind": "counter", "value": c.value, "count": c.value}))
-    for g in registry.gauges.values():
-        lines.append(json.dumps(
-            {"type": "metric", "name": g.name,
-             "labels": [list(kv) for kv in g.labels],
-             "kind": "gauge", "value": _json_safe(g.value), "count": 1}))
-    for h in registry.histograms.values():
-        lines.append(json.dumps(
-            {"type": "metric", "name": h.name,
-             "labels": [list(kv) for kv in h.labels],
-             "kind": "histogram", "value": _json_safe(h.mean),
-             "count": h.count, "sum": h.total,
-             "min": _json_safe(h.min) if math.isfinite(h.min) else None,
-             "max": _json_safe(h.max) if math.isfinite(h.max) else None,
-             "buckets": {str(i): n for i, n in sorted(h.buckets.items())}}))
-    for name, count, p50, p90, p99, mx in registry.sketch_rows():
-        s = registry.sketches[name]
-        lines.append(json.dumps(
-            {"type": "metric", "name": name, "kind": "sketch",
-             "count": count, "total": s.total,
-             "min": _json_safe(s.min) if math.isfinite(s.min) else None,
-             "p50": _json_safe(p50), "p90": _json_safe(p90),
-             "p99": _json_safe(p99), "max": _json_safe(mx),
-             "buckets": {str(i): n for i, n in sorted(s.buckets.items())}}))
+    for section, entries in registry.to_dict().items():
+        kind = _metrics.METRIC_KINDS[section]
+        for entry in entries:
+            lines.append(json.dumps({"type": "metric", "kind": kind, **entry}))
     for rec in ledger.records:
         lines.append(json.dumps(
             {"type": "provenance", "source": rec.source,
@@ -111,11 +88,6 @@ def read_jsonl(path) -> list[dict]:
         if line:
             records.append(json.loads(line))
     return records
-
-
-def _json_safe(value: float):
-    """NaN → None so the JSONL line stays strict-JSON parseable."""
-    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 def _fmt_seconds(seconds: float) -> str:
@@ -219,9 +191,9 @@ def format_summary_table(tracer: "_trace.Tracer | None" = None) -> str:
 def format_metrics_table(registry: "_metrics.MetricsRegistry | None" = None) -> str:
     """The metrics registry as aligned text tables.
 
-    Counters/gauges/histograms render as the classic
-    name/kind/value/count table; duration sketches follow in their own
-    table with p50/p90/p99/max columns (milliseconds).
+    Counters and gauges render as the classic name/kind/value/count
+    table; sketches follow in their own table with p50/p90/p99/max
+    columns in the sketch's own unit (seconds for span durations).
     """
     registry = registry if registry is not None else _metrics.get_registry()
     rows = registry.rows()
@@ -237,10 +209,7 @@ def format_metrics_table(registry: "_metrics.MetricsRegistry | None" = None) -> 
         ))
     if sketch_rows:
         sections.append(format_table(
-            ["span duration sketch", "count", "p50_ms", "p90_ms", "p99_ms",
-             "max_ms"],
-            [(name, count, p50 * 1e3, p90 * 1e3, p99 * 1e3, mx * 1e3)
-             for name, count, p50, p90, p99, mx in sketch_rows],
-            float_spec=".3f",
+            ["sketch", "count", "p50", "p90", "p99", "max"], sketch_rows,
+            float_spec=".6g",
         ))
     return "\n\n".join(sections)

@@ -4,9 +4,8 @@ The machine-scrapable half of the observability layer. Three outputs:
 
 * :func:`render_prometheus` — the registry in the Prometheus text
   exposition format (version 0.0.4): counters and gauges as plain
-  samples, histograms with cumulative decade ``le`` buckets plus
-  ``_sum``/``_count``, and every duration sketch as one ``summary``
-  family keyed by a ``span`` label with p50/p90/p99 quantiles.
+  samples, every sketch family as a ``summary`` with p50/p90/p99
+  quantiles plus ``_sum``/``_count``.
   :func:`parse_prometheus` is the matching grammar checker used by the
   round-trip tests (and by anyone debugging a scrape);
 * :func:`spans_to_otlp` — completed spans as OTLP/JSON
@@ -31,16 +30,12 @@ import threading
 import time
 from pathlib import Path
 
-from ..errors import DomainError
+from ..errors import DataError, DomainError
 from . import metrics as _metrics
 from . import provenance as _provenance
 from . import telemetry as _telemetry
 from . import trace as _trace
-from .metrics import (
-    HISTOGRAM_BUCKET_BOUNDS,
-    MetricsRegistry,
-    canonical_metric_name,
-)
+from .metrics import METRIC_KINDS, MetricsRegistry
 
 __all__ = [
     "MetricsEndpoint",
@@ -90,9 +85,6 @@ _SAMPLE_RE = re.compile(
 _LABEL_PAIR_RE = re.compile(
     r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
-#: The single summary family every duration sketch renders into.
-SKETCH_FAMILY = "repro_span_duration_seconds"
-
 
 def _sanitize_name(name: str) -> str:
     """Coerce an internal metric name into a valid Prometheus name."""
@@ -130,77 +122,45 @@ def _label_block(labels, extra=()) -> str:
     return "{" + inner + "}"
 
 
-def _bound_str(bound: float) -> str:
-    """A bucket bound as Prometheus renders it (``0.001``, ``10000.0``)."""
-    return repr(bound)
+def _families(series) -> dict[str, list]:
+    """Group series by family name; each family's series label-sorted."""
+    families: dict[str, list] = {}
+    for m in series:
+        families.setdefault(m.name, []).append(m)
+    return {name: sorted(families[name], key=lambda m: m.labels)
+            for name in sorted(families)}
 
 
 def render_prometheus(registry: "MetricsRegistry | None" = None) -> str:
     """The registry in Prometheus text exposition format (0.0.4).
 
-    Families are emitted name-sorted with one ``# TYPE`` line each;
-    labeled series of the same family group under it. Histograms render
-    their decade buckets cumulatively with a closing ``+Inf`` bucket;
-    sketches render as one ``summary`` family (:data:`SKETCH_FAMILY`)
-    with the span name as a ``span`` label.
+    Families are emitted name-sorted with one ``# TYPE`` line each
+    (counters, then gauges, then sketches); labeled series of the same
+    family group under it, label-sorted. Every sketch family renders as
+    a ``summary``: p50/p90/p99 ``quantile`` samples, then ``_sum`` and
+    ``_count``.
     """
     registry = registry if registry is not None else _metrics.get_registry()
     lines: list[str] = []
-
-    families: dict[str, list] = {}
-    for c in registry.counters.values():
-        families.setdefault(c.name, []).append(c)
-    for name in sorted(families):
+    for kind, series in (("counter", registry.counters.values()),
+                         ("gauge", registry.gauges.values())):
+        for name, members in _families(series).items():
+            safe = _sanitize_name(name)
+            lines.append(f"# TYPE {safe} {kind}")
+            for m in members:
+                lines.append(f"{safe}{_label_block(m.labels)} "
+                             f"{_format_value(m.value)}")
+    for name, members in _families(registry.sketches.values()).items():
         safe = _sanitize_name(name)
-        lines.append(f"# TYPE {safe} counter")
-        for c in families[name]:
-            lines.append(f"{safe}{_label_block(c.labels)} "
-                         f"{_format_value(c.value)}")
-
-    families = {}
-    for g in registry.gauges.values():
-        families.setdefault(g.name, []).append(g)
-    for name in sorted(families):
-        safe = _sanitize_name(name)
-        lines.append(f"# TYPE {safe} gauge")
-        for g in families[name]:
-            lines.append(f"{safe}{_label_block(g.labels)} "
-                         f"{_format_value(g.value)}")
-
-    families = {}
-    for h in registry.histograms.values():
-        families.setdefault(h.name, []).append(h)
-    for name in sorted(families):
-        safe = _sanitize_name(name)
-        lines.append(f"# TYPE {safe} histogram")
-        for h in families[name]:
-            cumulative = 0
-            for i, bound in enumerate(HISTOGRAM_BUCKET_BOUNDS):
-                cumulative += h.buckets.get(i, 0)
-                block = _label_block(h.labels,
-                                     extra=[("le", _bound_str(bound))])
-                lines.append(f"{safe}_bucket{block} {cumulative}")
-            block = _label_block(h.labels, extra=[("le", "+Inf")])
-            lines.append(f"{safe}_bucket{block} {h.count}")
-            lines.append(f"{safe}_sum{_label_block(h.labels)} "
-                         f"{_format_value(h.total)}")
-            lines.append(f"{safe}_count{_label_block(h.labels)} {h.count}")
-
-    if registry.sketches:
-        lines.append(f"# TYPE {SKETCH_FAMILY} summary")
-        for name in sorted(registry.sketches):
-            s = registry.sketches[name]
-            span_label = ("span", name)
+        lines.append(f"# TYPE {safe} summary")
+        for s in members:
             for q, value in (("0.5", s.p50), ("0.9", s.p90),
                              ("0.99", s.p99)):
-                block = _label_block([span_label], extra=[("quantile", q)])
-                lines.append(f"{SKETCH_FAMILY}{block} "
-                             f"{_format_value(value)}")
-            lines.append(f"{SKETCH_FAMILY}_sum{_label_block([span_label])} "
+                block = _label_block(s.labels, extra=[("quantile", q)])
+                lines.append(f"{safe}{block} {_format_value(value)}")
+            lines.append(f"{safe}_sum{_label_block(s.labels)} "
                          f"{_format_value(s.total)}")
-            lines.append(f"{SKETCH_FAMILY}_count{_label_block([span_label])} "
-                         f"{s.count}")
-
+            lines.append(f"{safe}_count{_label_block(s.labels)} {s.count}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -299,51 +259,21 @@ def parse_prometheus(text: str) -> list[dict]:
 def registry_from_records(records: list[dict]) -> MetricsRegistry:
     """Rebuild a registry from JSONL export records (``type == metric``).
 
-    The inverse (as far as the export carries state) of
-    :func:`~repro.obs.export.export_jsonl`'s metric lines — what
-    ``tools/trace_report.py --prom`` uses to render a saved snapshot.
-    Older exports without ``buckets`` reconstruct counts and sums but
-    lose bucket/quantile detail. Legacy dotted metric names are mapped
-    to their canonical snake_case spellings on the way in
-    (:data:`~repro.obs.metrics.LEGACY_METRIC_RENAMES`), so snapshots
-    written before the rename keep feeding the current series.
+    The inverse of :func:`~repro.obs.export.export_jsonl`'s metric
+    lines, each one :meth:`~repro.obs.metrics.MetricsRegistry.to_dict`
+    entry tagged with its ``kind`` — what ``tools/trace_report.py
+    --prom`` uses to render a saved snapshot.
     """
-    reg = MetricsRegistry()
+    sections = {kind: section for section, kind in METRIC_KINDS.items()}
+    data: dict[str, list] = {section: [] for section in METRIC_KINDS}
     for rec in records:
         if rec.get("type") != "metric":
             continue
-        kind = rec.get("kind")
-        labels = [tuple(kv) for kv in rec.get("labels", [])]
-        name = canonical_metric_name(rec["name"])
-        if kind == "counter":
-            reg.counter(name, labels).inc(rec.get("value") or 0.0)
-        elif kind == "gauge":
-            if rec.get("value") is not None:
-                reg.gauge(name, labels).set(rec["value"])
-        elif kind == "histogram":
-            h = reg.histogram(name, labels)
-            h.count = int(rec.get("count", 0))
-            if "sum" in rec:
-                h.total = float(rec["sum"])
-            elif rec.get("value") is not None:
-                h.total = float(rec["value"]) * h.count
-            if rec.get("min") is not None:
-                h.min = float(rec["min"])
-            if rec.get("max") is not None:
-                h.max = float(rec["max"])
-            h.buckets = {int(i): int(n)
-                         for i, n in rec.get("buckets", {}).items()}
-        elif kind == "sketch":
-            s = reg.sketch(name)
-            s.count = int(rec.get("count", 0))
-            s.total = float(rec.get("total", 0.0))
-            if rec.get("max") is not None:
-                s.max = float(rec["max"])
-            if rec.get("min") is not None:
-                s.min = float(rec["min"])
-            s.buckets = {int(i): int(n)
-                         for i, n in rec.get("buckets", {}).items()}
-    return reg
+        if rec.get("kind") not in sections:
+            raise DataError(f"metric record {rec.get('name')!r} has unknown "
+                            f"kind {rec.get('kind')!r}")
+        data[sections[rec["kind"]]].append(rec)
+    return MetricsRegistry.from_dict(data)
 
 
 def _otlp_attr_value(value) -> dict:

@@ -8,9 +8,8 @@ the longitudinal memory — a SQLite-backed store where each instrumented
 run (the CLI report, ``python -m repro.bench``, engine sweeps) appends
 one **run record**: provenance (git sha, python, platform, backend,
 constants version, wall time) plus the full telemetry payload (the
-labeled-metric registry in its :meth:`~repro.obs.metrics.
-MetricsRegistry.to_dict` wire format, merged
-:class:`~repro.obs.perf.DurationSketch` percentiles per span name, and
+labeled-metric registry — span-duration sketches included — in its
+:meth:`~repro.obs.metrics.MetricsRegistry.to_dict` wire format, and
 the engine's :class:`~repro.robust.supervision.SupervisionReport`
 lifetime counters).
 
@@ -20,12 +19,12 @@ Three layers on top of the store:
   :meth:`~HistoryStore.latest` / :meth:`~HistoryStore.series` serve
   typed :class:`RunRecord` / :class:`SeriesPoint` records (never raw
   rows), filterable by command, git sha, and backend;
-* a **drift detector** — :func:`detect_drift` extends the MAD-banded
-  noise logic of :mod:`repro.bench.compare` to *any* stored series:
-  the latest value is compared against the trailing-window median with
-  a band of ``max(min_rel·|median|, mad_scale·1.4826·MAD)``, and every
-  departure becomes a :class:`~repro.robust.policy.Diagnostic` under
-  the standard RAISE/MASK/COLLECT policies;
+* a **drift detector** — :func:`detect_drift` applies the MAD noise
+  band :func:`noise_band` (shared with the :mod:`repro.bench.compare`
+  gate) to *any* stored series: the latest value is compared against
+  the trailing-window median, and every departure becomes a
+  :class:`~repro.robust.policy.Diagnostic` under the standard
+  RAISE/MASK/COLLECT policies;
 * **trend reporting** — :func:`format_trend_table` (text, with unicode
   sparklines) and :func:`render_html_dashboard` (one self-contained
   HTML file, inline SVG sparklines per series, drift flags
@@ -82,6 +81,7 @@ __all__ = [
     "flatten_samples",
     "format_trend_table",
     "git_sha",
+    "noise_band",
     "note_evaluation",
     "recording",
     "render_html_dashboard",
@@ -97,7 +97,7 @@ HISTORY_SCHEMA_VERSION = 1
 #: Environment variable naming the default history database path.
 HISTORY_ENV_VAR = "REPRO_HISTORY"
 
-#: MAD → normal-σ scale factor (same convention as ``repro.bench``).
+#: MAD → normal-σ scale factor (the MAD of a normal sample is 0.6745 σ).
 _MAD_TO_SIGMA = 1.4826
 
 #: Unicode block ramp for text sparklines.
@@ -182,9 +182,6 @@ class RunRecord:
     metrics:
         The labeled-metric registry snapshot in the
         :meth:`~repro.obs.metrics.MetricsRegistry.to_dict` wire format.
-    sketches:
-        Span name → merged duration-sketch summary (count/total/min/
-        max/p50/p90/p99 plus the sparse bucket state).
     supervision:
         :func:`repro.engine.supervision_stats`-shaped lifetime counters
         of the pooled engine path (empty without the engine).
@@ -203,7 +200,6 @@ class RunRecord:
     constants_version: str
     wall_time_s: float
     metrics: dict = field(default_factory=dict)
-    sketches: dict = field(default_factory=dict)
     supervision: dict = field(default_factory=dict)
     samples: dict = field(default_factory=dict)
 
@@ -224,28 +220,13 @@ class SeriesPoint:
     value: float
 
 
-def _sketch_payload(sketch) -> dict:
-    """One duration sketch as its JSON-safe stored summary."""
-    pct = sketch.percentiles()
-    return {
-        "count": sketch.count,
-        "total": sketch.total,
-        "min": sketch.min if math.isfinite(sketch.min) else None,
-        "max": sketch.max if math.isfinite(sketch.max) else None,
-        "p50": None if math.isnan(pct["p50"]) else pct["p50"],
-        "p90": None if math.isnan(pct["p90"]) else pct["p90"],
-        "p99": None if math.isnan(pct["p99"]) else pct["p99"],
-        "buckets": {str(i): n for i, n in sorted(sketch.buckets.items())},
-    }
-
-
 def flatten_samples(registry: MetricsRegistry,
                     supervision: dict | None = None) -> dict[str, float]:
     """Extract the scalar series of one run from a registry snapshot.
 
-    Counters and gauges sample under their full series key; histograms
-    contribute ``<key>:mean`` and ``<key>:count``; duration sketches
-    contribute ``<name>:p50``/``:p90``/``:p99``/``:count``. Numeric
+    Counters and gauges sample under their full series key; sketches
+    contribute ``<key>:p50``/``:p90``/``:p99``/``:count`` (a span's
+    p99 is ``repro_span_duration_seconds{span="<name>"}:p99``). Numeric
     supervision counters sample as ``supervision:<key>`` (the breaker
     state becomes the 0/1 ``supervision:breaker_open``). NaN values
     are dropped — a NaN can never sit inside a drift band anyway.
@@ -256,18 +237,13 @@ def flatten_samples(registry: MetricsRegistry,
     for key, gauge in registry.gauges.items():
         if not math.isnan(gauge.value):
             samples[key] = float(gauge.value)
-    for key, hist in registry.histograms.items():
-        if hist.count:
-            samples[f"{key}:mean"] = float(hist.mean)
-        samples[f"{key}:count"] = float(hist.count)
-    for name, sketch in registry.sketches.items():
+    for key, sketch in registry.sketches.items():
         if not sketch.count:
             continue
-        pct = sketch.percentiles()
-        samples[f"{name}:p50"] = float(pct["p50"])
-        samples[f"{name}:p90"] = float(pct["p90"])
-        samples[f"{name}:p99"] = float(pct["p99"])
-        samples[f"{name}:count"] = float(sketch.count)
+        samples[f"{key}:p50"] = sketch.p50
+        samples[f"{key}:p90"] = sketch.p90
+        samples[f"{key}:p99"] = sketch.p99
+        samples[f"{key}:count"] = float(sketch.count)
     for key, value in (supervision or {}).items():
         if key == "breaker_state":
             samples["supervision:breaker_open"] = (
@@ -404,11 +380,9 @@ class HistoryStore:
             value = float(value)
             if math.isfinite(value):
                 samples[str(key)] = value
-        sketches = {name: _sketch_payload(s)
-                    for name, s in sorted(registry.sketches.items())}
+        metrics = registry.to_dict()
         payload = json.dumps({
-            "metrics": registry.to_dict(),
-            "sketches": sketches,
+            "metrics": metrics,
             "supervision": supervision,
             "samples": samples,
         }, sort_keys=True)
@@ -439,8 +413,8 @@ class HistoryStore:
             python=env.get("python", ""), platform=env.get("platform", ""),
             backend=backend,
             constants_version=env.get("constants_version", ""),
-            wall_time_s=wall_time_s, metrics=registry.to_dict(),
-            sketches=sketches, supervision=dict(supervision),
+            wall_time_s=wall_time_s, metrics=metrics,
+            supervision=dict(supervision),
             samples=samples)
 
     # -- queries ---------------------------------------------------------
@@ -461,7 +435,6 @@ class HistoryStore:
             constants_version=row["constants_version"],
             wall_time_s=float(row["wall_time_s"]),
             metrics=payload.get("metrics", {}),
-            sketches=payload.get("sketches", {}),
             supervision=payload.get("supervision", {}),
             samples=payload.get("samples", {}))
 
@@ -514,8 +487,9 @@ class HistoryStore:
 
         ``metric``/``labels`` follow the registry key convention
         (``series("engine_cache_events_total", {"event": "hit"})``);
-        ``field`` selects a sub-sample of histograms and sketches
-        (``series("engine.evaluate_grid", field="p99")``). Passing a
+        ``field`` selects a sub-sample of sketches
+        (``series("repro_span_duration_seconds", {"span":
+        "engine.evaluate_grid"}, field="p99")``). Passing a
         pre-built sample key as ``metric`` (with ``labels=None`` and
         ``field=None``) also works — the query layer resolves exactly
         the keys :func:`flatten_samples` wrote.
@@ -778,6 +752,20 @@ def _median(values: list[float]) -> float:
     return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
+def noise_band(median: float, mad: float, *, min_rel: float,
+               mad_scale: float, min_abs: float) -> float:
+    """Half-width of the noise band around ``median``.
+
+    ``max(min_rel·|median|, min_abs, mad_scale·_MAD_TO_SIGMA·mad)``:
+    the largest of a relative floor (machine-level drift one run's MAD
+    cannot see), an absolute floor, and ``mad_scale`` normal-equivalent
+    sigmas of the MAD. The one noise model behind both
+    :func:`detect_drift` and the :mod:`repro.bench.compare` gate.
+    """
+    return max(min_rel * abs(median), float(min_abs),
+               mad_scale * _MAD_TO_SIGMA * mad)
+
+
 def detect_drift(store: HistoryStore, *, keys=None, window: int = 10,
                  min_runs: int = 5, mad_scale: float = 3.0,
                  min_rel: float = 0.20, min_abs: float = 1e-12,
@@ -786,11 +774,10 @@ def detect_drift(store: HistoryStore, *, keys=None, window: int = 10,
     """Flag stored series whose latest value left the trailing MAD band.
 
     For each series (default: every key in the store) the latest value
-    is compared against the trailing ``window`` runs before it: the
-    band half-width is ``max(min_rel·|median|, min_abs,
-    mad_scale·1.4826·MAD)`` — the same noise model as the
-    :mod:`repro.bench.compare` regression gate, generalised to any
-    series. Series with fewer than ``min_runs`` points are reported
+    is compared against the trailing ``window`` runs before it, with
+    the :func:`noise_band` half-width around their median — the same
+    noise model as the :mod:`repro.bench.compare` regression gate.
+    Series with fewer than ``min_runs`` points are reported
     ``"insufficient"`` and never flagged, so a fresh store cannot
     cry wolf.
 
@@ -829,8 +816,8 @@ def detect_drift(store: HistoryStore, *, keys=None, window: int = 10,
         latest = values[-1]
         median = _median(trailing)
         mad = _median([abs(v - median) for v in trailing])
-        band = max(min_rel * abs(median), float(min_abs),
-                   mad_scale * _MAD_TO_SIGMA * mad)
+        band = noise_band(median, mad, min_rel=min_rel,
+                          mad_scale=mad_scale, min_abs=min_abs)
         if abs(latest - median) > band:
             direction = "high" if latest > median else "low"
             verdict = DriftVerdict(

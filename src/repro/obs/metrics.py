@@ -1,11 +1,12 @@
-"""Process-local metrics: labeled counters, gauges, and histograms.
+"""Process-local metrics: labeled counters, gauges, and sketches.
 
 A deliberately small, dependency-free registry in the Prometheus
-spirit: *counters* only go up (evaluations per model, cache hits),
-*gauges* hold the latest value (iterations of the last optimiser run),
-*histograms* accumulate value distributions (grid sizes, simulated
-yields) as count/sum/min/max plus fixed decade buckets — enough for a
-text report and a Prometheus exposition without reservoir sampling.
+spirit with three metric kinds: *counters* only go up (evaluations per
+model, cache hits), *gauges* hold the latest value (iterations of the
+last optimiser run), and *sketches* — :class:`~repro.obs.perf.
+DurationSketch` — accumulate value distributions (span durations, grid
+sizes, simulated yields) as exact count/sum/min/max plus a fixed
+log-bucket layout that answers p50/p90/p99 with ~1 % relative error.
 
 Every metric may carry a **frozen label set** — an immutable, sorted
 tuple of ``(key, value)`` pairs fixed at creation
@@ -16,28 +17,27 @@ see them. Label keys must be ``snake_case`` (enforced here and by lint
 rule ``OBS003`` for literal call sites).
 
 All ingestion paths (:meth:`Counter.inc`, :meth:`Gauge.set`,
-:meth:`Histogram.observe`, and sketch feeding) are **thread-safe**: a
+:meth:`~repro.obs.perf.DurationSketch.observe`) are **thread-safe**: a
 per-metric lock serialises read-modify-write updates, and the registry
 serialises get-or-create, so the serve layer can share one registry
 across request threads. Registries **merge** associatively
-(:meth:`MetricsRegistry.merge`): counters and histograms add, sketches
-add bucket counts, gauges take the last non-NaN value — the primitive
-that folds worker-process telemetry deltas (and future serve-layer
-shards) into one loss-free total.
+(:meth:`MetricsRegistry.merge`): counters add, sketches add bucket
+counts, gauges take the last non-NaN value — the primitive that folds
+worker-process telemetry deltas into one loss-free total.
+:meth:`MetricsRegistry.to_dict` is the one serialized form of a
+registry: worker deltas, run-history payloads and JSONL exports all
+carry it.
 
 All module-level helpers (:func:`inc`, :func:`set_gauge`,
-:func:`observe`, :func:`observe_duration`) are gated on the global
-observability flag from :mod:`repro.obs.trace`, so instrumented hot
-paths cost one branch when observability is off. Direct use of
-:class:`MetricsRegistry` is not gated — tests and tools can always
-build their own.
+:func:`observe`) are gated on the global observability flag from
+:mod:`repro.obs.trace`, so instrumented hot paths cost one branch when
+observability is off. Direct use of :class:`MetricsRegistry` is not
+gated — tests and tools can always build their own.
 
-Span durations get a fourth metric kind: a
-:class:`~repro.obs.perf.DurationSketch` per span name. Flat
-:class:`Histogram` aggregates cannot answer "what was p99?", so the
-registry keeps a streaming log-bucket percentile sketch instead and
-this module installs a duration sink on the global tracer that feeds
-every completed span into it.
+This module also installs a duration sink on the global tracer that
+records every completed span into the labeled sketch family
+``repro_span_duration_seconds{span=<name>}``
+(:data:`SPAN_DURATION_FAMILY`).
 """
 
 from __future__ import annotations
@@ -54,59 +54,28 @@ from ..errors import DomainError
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
-    "LEGACY_METRIC_RENAMES",
+    "METRIC_KINDS",
     "MetricsRegistry",
-    "canonical_metric_name",
+    "SPAN_DURATION_FAMILY",
     "freeze_labels",
     "get_registry",
     "inc",
     "metric_key",
     "observe",
-    "observe_duration",
     "set_gauge",
 ]
 
 #: Valid label-key shape (``snake_case``, same as Prometheus label names).
 _LABEL_KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
-#: Dotted legacy metric names (pre-OBS003 grandfathered spellings) →
-#: their canonical snake_case/``_total`` replacements. Only the *read*
-#: paths consult this — no in-tree call site emits the old names any
-#: more — so JSONL exports written by older versions still reconstruct
-#: into the current series (see
-#: :func:`repro.obs.exposition.registry_from_records`).
-LEGACY_METRIC_RENAMES: dict[str, str] = {
-    "api.evaluate_many.scenarios": "api_evaluate_many_scenarios",
-    "data.table_a1.cache_hits": "data_table_a1_cache_hits_total",
-    "data.table_a1.cache_misses": "data_table_a1_cache_misses_total",
-    "data.registry.from_csv.quarantined":
-        "data_registry_quarantined_rows_total",
-    "designflow.simulator.projects": "designflow_simulator_projects_total",
-    "engine.grid.points": "engine_grid_points",
-    "engine.map_scalar.points": "engine_map_scalar_points",
-    "optimize.optimal_sd.iterations": "optimize_optimal_sd_iterations",
-    "optimize.sweep.grid_points": "optimize_sweep_grid_points",
-    "robust.quarantine.rows": "robust_quarantine_rows_total",
-    "robust.retry.note_retry": "robust_retry_attempts_total",
-    "yieldmodels.simulation.wafers": "yieldmodels_simulation_wafers_total",
-    "yieldmodels.simulation.dice": "yieldmodels_simulation_dice_total",
-    "yieldmodels.simulation.yield": "yieldmodels_simulation_yield",
-}
+#: The sketch family every completed span's duration is recorded into,
+#: one series per span name (``{span="<name>"}``).
+SPAN_DURATION_FAMILY = "repro_span_duration_seconds"
 
-
-def canonical_metric_name(name: str) -> str:
-    """Map a legacy dotted metric name to its canonical spelling.
-
-    Unknown names pass through unchanged, so the shim is safe to apply
-    to every record on a read path.
-    """
-    return LEGACY_METRIC_RENAMES.get(name, name)
-
-#: Histogram decade-bucket upper bounds: 1e-9 … 1e9 (values above the
-#: last bound land in the implicit +Inf bucket, index ``len(bounds)``).
-HISTOGRAM_BUCKET_BOUNDS: tuple[float, ...] = tuple(
-    10.0 ** e for e in range(-9, 10))
+#: :meth:`MetricsRegistry.to_dict` section -> the metric kind it holds
+#: (the ``kind`` tag of a JSONL metric line).
+METRIC_KINDS: dict[str, str] = {
+    "counters": "counter", "gauges": "gauge", "sketches": "sketch"}
 
 
 def freeze_labels(labels) -> tuple[tuple[str, str], ...]:
@@ -200,76 +169,6 @@ class Gauge:
         return metric_key(self.name, self.labels)
 
 
-@dataclass
-class Histogram:
-    """Streaming summary of a value distribution.
-
-    Tracks count, sum, min, and max exactly, plus sparse decade
-    buckets (``HISTOGRAM_BUCKET_BOUNDS`` upper bounds) that give the
-    Prometheus exposition real ``le`` buckets — without storing
-    samples.
-    """
-
-    name: str
-    count: int = 0
-    total: float = 0.0
-    min: float = math.inf
-    max: float = -math.inf
-    labels: tuple[tuple[str, str], ...] = ()
-    buckets: dict[int, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
-
-    @staticmethod
-    def bucket_index(value: float) -> int:
-        """Index of the decade bucket ``value`` falls into.
-
-        Buckets are cumulative-ready upper bounds; values above the
-        largest bound return ``len(HISTOGRAM_BUCKET_BOUNDS)`` (the
-        +Inf bucket).
-        """
-        for i, bound in enumerate(HISTOGRAM_BUCKET_BOUNDS):
-            if value <= bound:
-                return i
-        return len(HISTOGRAM_BUCKET_BOUNDS)
-
-    def observe(self, value: float) -> None:
-        """Fold one sample into the summary (thread-safe)."""
-        value = float(value)
-        index = self.bucket_index(value)
-        with self._lock:
-            self.count += 1
-            self.total += value
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
-            self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other``'s samples into this histogram (exact); returns self."""
-        with self._lock:
-            self.count += other.count
-            self.total += other.total
-            if other.min < self.min:
-                self.min = other.min
-            if other.max > self.max:
-                self.max = other.max
-            for index, count in other.buckets.items():
-                self.buckets[index] = self.buckets.get(index, 0) + count
-        return self
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of the observed samples (NaN when empty)."""
-        return self.total / self.count if self.count else math.nan
-
-    @property
-    def key(self) -> str:
-        """The full series key including labels."""
-        return metric_key(self.name, self.labels)
-
-
 def _none_if_nonfinite(value: float):
     """±inf/NaN → None, so serialized state stays strict-JSON-safe."""
     return value if math.isfinite(value) else None
@@ -277,97 +176,72 @@ def _none_if_nonfinite(value: float):
 
 @dataclass
 class MetricsRegistry:
-    """Store of counters, gauges, histograms keyed by name *and* labels."""
+    """Store of counters, gauges, and sketches keyed by name *and* labels."""
 
     counters: dict[str, Counter] = field(default_factory=dict)
     gauges: dict[str, Gauge] = field(default_factory=dict)
-    histograms: dict[str, Histogram] = field(default_factory=dict)
     sketches: dict[str, DurationSketch] = field(default_factory=dict)
     _lock: threading.RLock = field(default_factory=threading.RLock,
                                    repr=False, compare=False)
 
-    def counter(self, name: str, labels=None) -> Counter:
-        """Get or create the counter series ``name`` / ``labels``."""
+    def _series(self, store: dict, kind, name: str, labels):
+        """Get or create the ``kind`` series ``name`` / ``labels``."""
         frozen = freeze_labels(labels)
         key = metric_key(name, frozen)
-        c = self.counters.get(key)
-        if c is None:
+        series = store.get(key)
+        if series is None:
             with self._lock:
-                c = self.counters.get(key)
-                if c is None:
-                    c = self.counters[key] = Counter(name, labels=frozen)
-        return c
+                series = store.get(key)
+                if series is None:
+                    series = store[key] = kind(name, labels=frozen)
+        return series
+
+    def counter(self, name: str, labels=None) -> Counter:
+        """Get or create the counter series ``name`` / ``labels``."""
+        return self._series(self.counters, Counter, name, labels)
 
     def gauge(self, name: str, labels=None) -> Gauge:
         """Get or create the gauge series ``name`` / ``labels``."""
-        frozen = freeze_labels(labels)
-        key = metric_key(name, frozen)
-        g = self.gauges.get(key)
-        if g is None:
-            with self._lock:
-                g = self.gauges.get(key)
-                if g is None:
-                    g = self.gauges[key] = Gauge(name, labels=frozen)
-        return g
+        return self._series(self.gauges, Gauge, name, labels)
 
-    def histogram(self, name: str, labels=None) -> Histogram:
-        """Get or create the histogram series ``name`` / ``labels``."""
-        frozen = freeze_labels(labels)
-        key = metric_key(name, frozen)
-        h = self.histograms.get(key)
-        if h is None:
-            with self._lock:
-                h = self.histograms.get(key)
-                if h is None:
-                    h = self.histograms[key] = Histogram(name, labels=frozen)
-        return h
-
-    def sketch(self, name: str) -> DurationSketch:
-        """Get or create the duration sketch ``name``."""
-        s = self.sketches.get(name)
-        if s is None:
-            with self._lock:
-                s = self.sketches.get(name)
-                if s is None:
-                    s = self.sketches[name] = DurationSketch(name)
-        return s
+    def sketch(self, name: str, labels=None) -> DurationSketch:
+        """Get or create the sketch series ``name`` / ``labels``."""
+        return self._series(self.sketches, DurationSketch, name, labels)
 
     def reset(self) -> None:
         """Drop every metric."""
         with self._lock:
             self.counters.clear()
             self.gauges.clear()
-            self.histograms.clear()
             self.sketches.clear()
 
     def is_empty(self) -> bool:
         """Whether no metric has been registered yet."""
-        return not (self.counters or self.gauges or self.histograms
-                    or self.sketches)
+        return not (self.counters or self.gauges or self.sketches)
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold every series of ``other`` into this registry; returns self.
 
-        The merge is **associative**: counters/histograms/sketches add
+        The merge is **associative**: counters and sketches add
         exactly, gauges keep the last non-NaN value, so worker deltas
         and serve-layer shards combine losslessly in any grouping.
         """
-        for key, c in other.counters.items():
+        for c in other.counters.values():
             self.counter(c.name, c.labels).merge(c)
-        for key, g in other.gauges.items():
+        for g in other.gauges.values():
             self.gauge(g.name, g.labels).merge(g)
-        for key, h in other.histograms.items():
-            self.histogram(h.name, h.labels).merge(h)
-        for name, s in other.sketches.items():
-            self.sketch(name).merge(s)
+        for s in other.sketches.values():
+            self.sketch(s.name, s.labels).merge(s)
         return self
 
     def to_dict(self) -> dict:
         """Serialise the full registry state as a JSON-safe dict.
 
-        The inverse of :meth:`from_dict`; the wire format of the
-        cross-process :class:`~repro.obs.telemetry.TelemetryPayload`
-        metric deltas.
+        The inverse of :meth:`from_dict` and the only serialized form
+        of a registry: the cross-process
+        :class:`~repro.obs.telemetry.TelemetryPayload` metric deltas,
+        the run-history payload and the JSONL ``metric`` lines (one
+        entry per line) all carry it.
         """
         return {
             "counters": [
@@ -378,15 +252,9 @@ class MetricsRegistry:
                 {"name": g.name, "labels": [list(kv) for kv in g.labels],
                  "value": _none_if_nonfinite(g.value)}
                 for g in self.gauges.values()],
-            "histograms": [
-                {"name": h.name, "labels": [list(kv) for kv in h.labels],
-                 "count": h.count, "total": h.total,
-                 "min": _none_if_nonfinite(h.min),
-                 "max": _none_if_nonfinite(h.max),
-                 "buckets": {str(i): n for i, n in sorted(h.buckets.items())}}
-                for h in self.histograms.values()],
             "sketches": [
-                {"name": s.name, "count": s.count, "total": s.total,
+                {"name": s.name, "labels": [list(kv) for kv in s.labels],
+                 "count": s.count, "total": s.total,
                  "min": _none_if_nonfinite(s.min),
                  "max": _none_if_nonfinite(s.max),
                  "buckets": {str(i): n for i, n in sorted(s.buckets.items())}}
@@ -404,15 +272,8 @@ class MetricsRegistry:
             g = reg.gauge(rec["name"], [tuple(kv) for kv in rec["labels"]])
             if rec["value"] is not None:
                 g.set(rec["value"])
-        for rec in data.get("histograms", ()):
-            h = reg.histogram(rec["name"], [tuple(kv) for kv in rec["labels"]])
-            h.count = int(rec["count"])
-            h.total = float(rec["total"])
-            h.min = math.inf if rec["min"] is None else float(rec["min"])
-            h.max = -math.inf if rec["max"] is None else float(rec["max"])
-            h.buckets = {int(i): int(n) for i, n in rec["buckets"].items()}
         for rec in data.get("sketches", ()):
-            s = reg.sketch(rec["name"])
+            s = reg.sketch(rec["name"], [tuple(kv) for kv in rec["labels"]])
             s.count = int(rec["count"])
             s.total = float(rec["total"])
             s.min = math.inf if rec["min"] is None else float(rec["min"])
@@ -421,34 +282,32 @@ class MetricsRegistry:
         return reg
 
     def rows(self) -> list[tuple[str, str, float, float]]:
-        """Flatten to ``(key, kind, value, count)`` rows, name-sorted.
+        """Counters and gauges as ``(key, kind, value, count)`` rows.
 
-        ``key`` is the full series key (labels rendered inline). For
-        counters and gauges ``count`` repeats the sample count implied
-        by the kind (counter value / 1); for histograms ``value`` is
-        the mean.
+        ``key`` is the full series key (labels rendered inline);
+        ``count`` repeats the sample count implied by the kind (counter
+        value / 1). Sorted by kind, then key; sketches are in
+        :meth:`sketch_rows`.
         """
         out: list[tuple[str, str, float, float]] = []
         for key, c in self.counters.items():
             out.append((key, "counter", c.value, c.value))
         for key, g in self.gauges.items():
             out.append((key, "gauge", g.value, 1))
-        for key, h in self.histograms.items():
-            out.append((key, "histogram", h.mean, h.count))
         out.sort(key=lambda r: (r[1], r[0]))
         return out
 
     def sketch_rows(self) -> list[tuple[str, int, float, float, float, float]]:
-        """Duration sketches as ``(name, count, p50, p90, p99, max)`` rows.
+        """Sketches as ``(key, count, p50, p90, p99, max)`` rows.
 
-        Times in seconds, name-sorted; empty sketches report NaN
-        percentiles.
+        Values in the sketch's own unit (seconds for span durations),
+        key-sorted; empty sketches report NaN percentiles.
         """
         out: list[tuple[str, int, float, float, float, float]] = []
-        for name in sorted(self.sketches):
-            s = self.sketches[name]
+        for key in sorted(self.sketches):
+            s = self.sketches[key]
             pct = s.percentiles()
-            out.append((name, s.count, pct["p50"], pct["p90"], pct["p99"],
+            out.append((key, s.count, pct["p50"], pct["p90"], pct["p99"],
                         pct["max"]))
         return out
 
@@ -476,22 +335,28 @@ def set_gauge(name: str, value: float, labels=None) -> None:
 
 
 def observe(name: str, value: float, labels=None) -> None:
-    """Observe ``value`` into histogram ``name`` iff observability is enabled."""
+    """Observe ``value`` into sketch ``name`` iff observability is enabled."""
     if not _trace._ENABLED:
         return
-    _REGISTRY.histogram(name, labels).observe(value)
+    _REGISTRY.sketch(name, labels).observe(value)
 
 
-def observe_duration(name: str, seconds: float) -> None:
-    """Fold a duration into percentile sketch ``name`` iff observability is on."""
-    if not _trace._ENABLED:
-        return
-    _REGISTRY.sketch(name).observe(seconds)
+#: Span name -> its series key in :data:`SPAN_DURATION_FAMILY`.
+_SPAN_KEYS: dict[str, str] = {}
 
 
 def _span_duration_sink(name: str, seconds: float) -> None:
     """Tracer duration sink: sketch every completed span's duration."""
-    _REGISTRY.sketch(name).observe(seconds)
+    # Look the series up by its cached key: freezing the labels on every
+    # span would cost more than the observation itself.
+    key = _SPAN_KEYS.get(name)
+    if key is None:
+        key = _SPAN_KEYS[name] = metric_key(SPAN_DURATION_FAMILY,
+                                            (("span", name),))
+    sketch = _REGISTRY.sketches.get(key)
+    if sketch is None:
+        sketch = _REGISTRY.sketch(SPAN_DURATION_FAMILY, {"span": name})
+    sketch.observe(seconds)
 
 
 # Spans only exist while observability is enabled, so the sink needs no

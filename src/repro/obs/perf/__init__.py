@@ -3,8 +3,8 @@
 The performance layer on top of :mod:`repro.obs`:
 
 * :class:`DurationSketch` — streaming log-bucket percentile sketch
-  (p50/p90/p99/max, ~1 % relative error, exactly mergeable) that the
-  metrics registry keeps per span name;
+  (p50/p90/p99/max, ~1 % relative error, exactly mergeable), the
+  metrics registry's one distribution kind (span durations included);
 * :class:`SpanProfiler` — deterministic ``sys.setprofile`` profiler
   that attributes wall time to ``span-path;function-stack`` leaves and
   exports flamegraph collapsed-stack format;

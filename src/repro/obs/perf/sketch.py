@@ -1,17 +1,18 @@
-"""Streaming percentile sketches for span durations.
+"""Streaming percentile sketches: the registry's one distribution type.
 
-A :class:`DurationSketch` folds an unbounded stream of durations into a
-fixed logarithmic bucket layout and answers quantile queries (p50, p90,
-p99) with a bounded *relative* error — the property that matters for
-timings, where a 1 ms and a 1 s span must both resolve to ~1 %. The
-flat ``Histogram`` in :mod:`repro.obs.metrics` keeps only count / sum /
-min / max; the sketch is what the performance trajectory (``python -m
-repro.bench``) and the span-duration metrics are built on.
+A :class:`DurationSketch` folds an unbounded stream of positive values
+— span durations, grid sizes, simulated yields — into a fixed
+logarithmic bucket layout and answers quantile queries (p50, p90, p99)
+with a bounded *relative* error: a 1 ms and a 1 s span both resolve to
+~1 %. It is the only distribution kind of :mod:`repro.obs.metrics`
+(labeled like every other series) and what the performance trajectory
+(``python -m repro.bench``) is built on.
 
 Design (the DDSketch/HDR-histogram family, stdlib only):
 
 * bucket ``i`` covers ``[MIN * GAMMA**i, MIN * GAMMA**(i+1))`` with
-  ``GAMMA = 1.02`` and ``MIN = 1 ns``, so every quantile estimate —
+  ``GAMMA = 1.02`` and ``MIN = 1e-9``, up to a ceiling above ``1e9``,
+  so every quantile estimate —
   the geometric midpoint of its bucket — is within ``(GAMMA-1)/2 ≈ 1 %``
   of the true value;
 * buckets are stored sparsely (index → count), so an idle sketch costs
@@ -34,22 +35,26 @@ __all__ = ["DurationSketch"]
 
 #: Per-bucket growth factor; quantile relative error is (GAMMA - 1) / 2.
 _GAMMA = 1.02
-#: Smallest resolvable duration (seconds); everything below lands in bucket 0.
+#: Smallest resolvable value; everything below lands in bucket 0.
 _MIN_VALUE = 1e-9
-#: Highest bucket index — covers up to ~2.8e3 s, far past any span.
-_MAX_INDEX = 1450
+#: Highest bucket index: buckets resolve values up to ~1.15e9 (a 1M-point
+#: grid size fits with room to spare); anything larger clamps here.
+_MAX_INDEX = 2100
 
 _LOG_GAMMA = math.log(_GAMMA)
 _LOG_MIN = math.log(_MIN_VALUE)
 
 
 class DurationSketch:
-    """Mergeable log-bucket sketch of a duration distribution (seconds).
+    """Mergeable log-bucket sketch of a value distribution.
 
     Tracks count, sum, min, and max exactly; quantiles are estimated
     from the bucket layout with ~1 % relative error. Instances with
     the same class-level layout (always true — the layout is fixed)
-    merge losslessly via :meth:`merge`.
+    merge losslessly via :meth:`merge`. ``labels`` is the frozen,
+    sorted ``(key, value)`` tuple of the series (see
+    :func:`repro.obs.metrics.freeze_labels`); :attr:`key` is the
+    registry key it is stored under.
 
     Examples
     --------
@@ -62,10 +67,12 @@ class DurationSketch:
     True
     """
 
-    __slots__ = ("name", "count", "total", "min", "max", "buckets", "_lock")
+    __slots__ = ("name", "labels", "count", "total", "min", "max", "buckets",
+                 "_lock")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, labels: tuple = ()):
         self.name = name
+        self.labels = labels
         self.count = 0
         self.total = 0.0
         self.min = math.inf
@@ -76,38 +83,44 @@ class DurationSketch:
         #: samples (the serve layer shares one registry across threads).
         self._lock = threading.Lock()
 
+    @property
+    def key(self) -> str:
+        """The full series key including labels."""
+        from ..metrics import metric_key  # metrics imports this module
+        return metric_key(self.name, self.labels)
+
     @staticmethod
-    def bucket_index(seconds: float) -> int:
-        """The bucket index a duration falls into (clamped to the layout)."""
-        if seconds <= _MIN_VALUE:
+    def bucket_index(value: float) -> int:
+        """The bucket index a value falls into (clamped to the layout)."""
+        if value <= _MIN_VALUE:
             return 0
-        index = int((math.log(seconds) - _LOG_MIN) / _LOG_GAMMA)
+        index = int((math.log(value) - _LOG_MIN) / _LOG_GAMMA)
         return index if index < _MAX_INDEX else _MAX_INDEX
 
     @staticmethod
     def bucket_value(index: int) -> float:
-        """The representative duration of a bucket (geometric midpoint)."""
+        """The representative value of a bucket (geometric midpoint)."""
         return math.exp(_LOG_MIN + (index + 0.5) * _LOG_GAMMA)
 
-    def observe(self, seconds: float) -> None:
-        """Fold one duration (seconds) into the sketch.
+    def observe(self, value: float) -> None:
+        """Fold one value into the sketch.
 
         Non-finite values are rejected; values at or below the layout
         minimum (including 0 and negatives from clock quirks) clamp
         into the lowest bucket but still update min/total exactly.
         """
-        seconds = float(seconds)
-        if math.isnan(seconds) or math.isinf(seconds):
+        value = float(value)
+        if math.isnan(value) or math.isinf(value):
             raise DomainError(
-                f"sketch {self.name}: duration must be finite, got {seconds}")
-        index = self.bucket_index(seconds)
+                f"sketch {self.name}: value must be finite, got {value}")
+        index = self.bucket_index(value)
         with self._lock:
             self.count += 1
-            self.total += seconds
-            if seconds < self.min:
-                self.min = seconds
-            if seconds > self.max:
-                self.max = seconds
+            self.total += value
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
             self.buckets[index] = self.buckets.get(index, 0) + 1
 
     def merge(self, other: "DurationSketch") -> "DurationSketch":
@@ -128,7 +141,7 @@ class DurationSketch:
         return self
 
     def quantile(self, q: float) -> float:
-        """Estimated duration at quantile ``q`` in [0, 1] (NaN when empty).
+        """Estimated value at quantile ``q`` in [0, 1] (NaN when empty).
 
         Uses the nearest-rank convention (``ceil(q * count)``); the
         returned value is the geometric midpoint of the bucket holding
@@ -159,22 +172,22 @@ class DurationSketch:
 
     @property
     def p50(self) -> float:
-        """Estimated median duration (seconds)."""
+        """Estimated median."""
         return self.quantile(0.50)
 
     @property
     def p90(self) -> float:
-        """Estimated 90th-percentile duration (seconds)."""
+        """Estimated 90th percentile."""
         return self.quantile(0.90)
 
     @property
     def p99(self) -> float:
-        """Estimated 99th-percentile duration (seconds)."""
+        """Estimated 99th percentile."""
         return self.quantile(0.99)
 
     @property
     def mean(self) -> float:
-        """Arithmetic mean of the observed durations (NaN when empty)."""
+        """Arithmetic mean of the observed values (NaN when empty)."""
         return self.total / self.count if self.count else math.nan
 
     def percentiles(self) -> dict[str, float]:
@@ -184,7 +197,7 @@ class DurationSketch:
 
     @classmethod
     def from_values(cls, name: str, values: Iterable[float]) -> "DurationSketch":
-        """Build a sketch from an iterable of durations in one call."""
+        """Build a sketch from an iterable of values in one call."""
         sketch = cls(name)
         for value in values:
             sketch.observe(value)
@@ -192,13 +205,15 @@ class DurationSketch:
 
     def __getstate__(self) -> dict:
         """Pickle support: state without the (unpicklable) lock."""
-        return {"name": self.name, "count": self.count, "total": self.total,
+        return {"name": self.name, "labels": self.labels,
+                "count": self.count, "total": self.total,
                 "min": self.min, "max": self.max,
                 "buckets": dict(self.buckets)}
 
     def __setstate__(self, state: dict) -> None:
         """Restore pickled state and recreate a fresh lock."""
         self.name = state["name"]
+        self.labels = state["labels"]
         self.count = state["count"]
         self.total = state["total"]
         self.min = state["min"]
@@ -211,6 +226,6 @@ class DurationSketch:
 
     def __repr__(self) -> str:
         if self.count == 0:
-            return f"DurationSketch({self.name!r}, empty)"
-        return (f"DurationSketch({self.name!r}, n={self.count}, "
+            return f"DurationSketch({self.key!r}, empty)"
+        return (f"DurationSketch({self.key!r}, n={self.count}, "
                 f"p50={self.p50 * 1e3:.3f}ms, p99={self.p99 * 1e3:.3f}ms)")

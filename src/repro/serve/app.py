@@ -20,6 +20,7 @@ the exception class name:
 condition                                    status
 ===========================================  ======
 malformed JSON / unknown field / bad type    400
+bad ``Content-Length`` / non-UTF-8 body      400
 unknown route                                404
 request body over 1 MiB                      413
 evaluation failure under RAISE               422
@@ -45,7 +46,7 @@ from __future__ import annotations
 import json
 import threading
 
-from ..errors import ExecutionError, ReproError
+from ..errors import DomainError, ExecutionError, ReproError
 from ..obs import metrics as obs_metrics
 from ..obs import telemetry as obs_telemetry
 from ..obs.exposition import health_payload, render_prometheus
@@ -120,6 +121,14 @@ def _error_body(exc: BaseException, retry_after_s=None) -> ErrorResponse:
     """The wire form of a failure: taxonomy class name + message."""
     return ErrorResponse(code=type(exc).__name__, message=str(exc),
                          retry_after_s=retry_after_s)
+
+
+def _decode_body(body: bytes) -> str:
+    """A request body as text; non-UTF-8 bytes are a client error."""
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"request body is not valid UTF-8: {exc}") from exc
 
 
 def _bridge_serve_metrics(registry, service: CostService,
@@ -202,7 +211,16 @@ def start_server(host: str = "127.0.0.1", port: int = 0, *,
                         retry_after_s=wait_s)
                     self._count(route, 429)
                     return
-            length = int(self.headers.get("Content-Length") or 0)
+            header = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(header)
+            except ValueError:
+                length = -1
+            if length < 0:
+                self._reply_error(400, _error_body(DomainError(
+                    f"invalid Content-Length header {header!r}")))
+                self._count(route, 400)
+                return
             if length > _MAX_BODY_BYTES:
                 self._discard_body(length)
                 self._reply_error(413, _error_body(ExecutionError(
@@ -212,7 +230,7 @@ def start_server(host: str = "127.0.0.1", port: int = 0, *,
                 return
             try:
                 request = _REQUEST_TYPES[route].from_json(
-                    self.rfile.read(length).decode("utf-8"))
+                    _decode_body(self.rfile.read(length)))
             except ReproError as exc:
                 self._reply_error(400, _error_body(exc))
                 self._count(route, 400)

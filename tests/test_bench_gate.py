@@ -8,9 +8,14 @@ flip the exit code from 0 to 1.
 
 from __future__ import annotations
 
+import copy
+import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench import (
     IMPROVEMENT,
@@ -23,6 +28,7 @@ from repro.bench import (
 )
 from repro.bench.cli import main
 from repro.errors import DomainError
+from repro.obs.history import noise_band
 
 ENV = {"git_sha": "test", "python": "3.x", "platform": "test"}
 
@@ -85,6 +91,91 @@ def test_compare_parameters_validated():
         compare_reports(report(a=0.1), report(a=0.1), min_rel=-0.1)
     with pytest.raises(DomainError):
         compare_reports(report(a=0.1), report(a=0.1), mad_scale=0.0)
+
+
+# -- the shared noise band ---------------------------------------------
+
+_POSITIVE = st.floats(min_value=1e-12, max_value=1e6, allow_nan=False,
+                      allow_infinity=False)
+_MAD = st.floats(min_value=0.0, max_value=1e3, allow_nan=False,
+                 allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(median=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+       base_median=_POSITIVE, mad=_MAD,
+       min_rel=st.floats(min_value=0.0, max_value=9.99),
+       mad_scale=st.floats(min_value=1e-3, max_value=10.0),
+       min_abs=st.floats(min_value=0.0, max_value=1.0))
+def test_noise_band_equals_both_former_band_formulas(
+        median, base_median, mad, min_rel, mad_scale, min_abs):
+    # Oracle 1: the run-history drift band, as detect_drift computed it.
+    drift_band = max(min_rel * abs(median), float(min_abs),
+                     mad_scale * 1.4826 * mad)
+    assert noise_band(median, mad, min_rel=min_rel, mad_scale=mad_scale,
+                      min_abs=min_abs) == drift_band
+    # Oracle 2: the bench gate's relative threshold, as compare computed it.
+    denom = max(base_median, 1e-9)
+    gate_threshold = max(min_rel, mad_scale * 1.4826 * mad / denom)
+    threshold = noise_band(1.0, mad / denom, min_rel=min_rel,
+                           mad_scale=mad_scale, min_abs=0.0)
+    assert threshold == pytest.approx(gate_threshold, rel=1e-12)
+    if min_rel > mad_scale * 1.4826 * mad / denom * (1 + 1e-9):
+        assert threshold == gate_threshold  # the floor is reproduced exactly
+    # compare_reports reports exactly the band it judged against.
+    row = {"min": base_median, "median": base_median, "mad": mad,
+           "repeats": 5}
+    doc = make_report({"b": row}, repeats=5, warmup=1, environment=ENV,
+                      generated="2026-08-06T00:00:00Z")
+    (verdict,) = compare_reports(doc, doc, min_rel=min_rel,
+                                 mad_scale=mad_scale).verdicts
+    assert verdict.threshold == threshold
+
+
+#: Per-bench verdicts of the committed baseline against itself with every
+#: median scaled by the key, pinned from the gate before it shared
+#: ``noise_band`` with the drift detector (unlisted benches: within-noise).
+_REPLAY_VERDICTS = {
+    0.5: {IMPROVEMENT: {
+        "ablation_designcost", "ablation_node", "ablation_regularity",
+        "ablation_scenarios", "ablation_ttm", "ablation_utilization",
+        "ablation_yield", "engine", "figure1", "figure2", "figure4",
+        "obs_overhead", "serve", "supervision", "table_a1",
+        "validation_yield"}},
+    0.79: {IMPROVEMENT: {
+        "ablation_node", "ablation_regularity", "ablation_ttm",
+        "ablation_utilization", "engine", "figure1", "figure2",
+        "obs_overhead", "serve", "supervision", "table_a1"}},
+    0.81: {},
+    1.19: {},
+    1.21: {REGRESSION: {
+        "ablation_node", "ablation_regularity", "ablation_ttm",
+        "ablation_utilization", "engine", "figure1", "figure2",
+        "obs_overhead", "serve", "supervision", "table_a1"}},
+    2.0: {REGRESSION: {
+        "ablation_designcost", "ablation_node", "ablation_regularity",
+        "ablation_scenarios", "ablation_ttm", "ablation_utilization",
+        "ablation_yield", "engine", "figure1", "figure2", "figure3",
+        "figure4", "obs_overhead", "serve", "supervision", "table_a1",
+        "validation_yield"}},
+}
+
+
+@pytest.mark.parametrize("factor", sorted(_REPLAY_VERDICTS))
+def test_baseline_replay_verdicts_are_pinned(factor):
+    baseline_path = Path(__file__).resolve().parent.parent / \
+        "benchmarks" / "baseline.json"
+    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
+    current = copy.deepcopy(baseline)
+    for row in current["benches"].values():
+        row["median"] *= factor
+    status = {v.name: v.status
+              for v in compare_reports(baseline, current).verdicts}
+    assert len(status) == 18
+    expected = {name: WITHIN_NOISE for name in status}
+    for verdict, names in _REPLAY_VERDICTS[factor].items():
+        expected.update(dict.fromkeys(names, verdict))
+    assert status == expected
 
 
 def test_format_marks_failures():

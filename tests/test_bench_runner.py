@@ -16,7 +16,6 @@ from repro.bench import (
     SCHEMA_ID,
     BenchCase,
     BenchResult,
-    bench_environment,
     default_bench_dir,
     discover,
     load_report,
@@ -27,6 +26,7 @@ from repro.bench import (
     write_report,
 )
 from repro.errors import DataError, DomainError
+from repro.obs.history import run_environment
 
 
 # -- discovery ---------------------------------------------------------
@@ -142,7 +142,7 @@ def test_make_report_shape_and_environment():
     assert doc["repeats"] == 5 and doc["warmup"] == 1
     env = doc["environment"]
     assert set(env) >= {"git_sha", "python", "platform"}
-    assert env == bench_environment()
+    assert env == run_environment()
     validate_report(doc, where="fresh report")
 
 

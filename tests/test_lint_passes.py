@@ -281,7 +281,7 @@ def test_obs002_applies_outside_entry_packages_and_to_nested_defs(tmp_path):
             def outer():
                 @traced()
                 def inner(x):
-                    return Histogram("h").observe(x)
+                    return DurationSketch("h").observe(x)
                 return inner
         """})
     assert rules_of(result) == ["OBS002"]
@@ -294,7 +294,7 @@ def test_obs002_quiet_on_gated_helpers_and_hoisted_metrics(tmp_path):
 
             @traced(equation="4")
             def optimal_thing(model):
-                observe_duration("hot", 0.1)
+                observe("hot", 0.1)
                 inc("calls_total")
                 _SKETCH.observe(0.1)
                 return model
@@ -326,11 +326,13 @@ def test_obs003_flags_bad_label_keys_and_registry_methods(tmp_path):
                 inc("events_total", labels={"Event-Kind": "hit"})
                 reg.counter("Lookups", {"event": "miss"})
                 reg.gauge("cache_entries", {"CamelKey": "x"})
+                reg.sketch("span_seconds", {"Span-Name": "x"})
         """})
-    assert rules_of(result) == ["OBS003", "OBS003", "OBS003"]
+    assert rules_of(result) == ["OBS003", "OBS003", "OBS003", "OBS003"]
     assert "label key" in result.findings[0].message
     assert "Lookups" in result.findings[1].message
     assert "CamelKey" in result.findings[2].message
+    assert "Span-Name" in result.findings[3].message
 
 
 def test_obs003_quiet_on_conforming_and_dynamic_names(tmp_path):

@@ -15,9 +15,8 @@ import urllib.request
 import pytest
 
 from repro import obs
-from repro.errors import DomainError
+from repro.errors import DataError, DomainError
 from repro.obs.exposition import (
-    SKETCH_FAMILY,
     parse_prometheus,
     registry_from_records,
     render_prometheus,
@@ -25,7 +24,7 @@ from repro.obs.exposition import (
     start_metrics_endpoint,
     write_snapshot,
 )
-from repro.obs.metrics import HISTOGRAM_BUCKET_BOUNDS, MetricsRegistry
+from repro.obs.metrics import SPAN_DURATION_FAMILY, MetricsRegistry
 
 
 @pytest.fixture(autouse=True)
@@ -42,11 +41,57 @@ def _populated_registry() -> MetricsRegistry:
     reg.counter("requests_total", {"backend": "numpy"}).inc(3)
     reg.counter("requests_total", {"backend": "python"}).inc(1)
     reg.gauge("cache_entries").set(42.0)
-    h = reg.histogram("grid_points", {"where": "sweep"})
+    s = reg.sketch("grid_points", {"where": "sweep"})
     for v in (10.0, 500.0, 2e6):
-        h.observe(v)
-    reg.sketch("engine.evaluate_grid").observe(1.5e-3)
+        s.observe(v)
+    reg.sketch(SPAN_DURATION_FAMILY,
+               {"span": "engine.evaluate_grid"}).observe(1.5e-3)
     return reg
+
+
+#: Span durations of the pinned-scrape registry below.
+_PINNED_SPANS = {
+    "engine.evaluate_grid": [1.5e-3, 2e-3, 40e-3],
+    "serve.sweep": [0.25, 0.5],
+    "x": [1e-6], "x!": [3.0], "x.y": [7e-9, 0.0],
+    'quote"back\\slash': [0.01],
+}
+
+#: ``render_prometheus`` span-family lines for ``_PINNED_SPANS``, as
+#: rendered when span sketches were still keyed by bare span name.
+_PINNED_SPAN_LINES = """\
+# TYPE repro_span_duration_seconds summary
+repro_span_duration_seconds{span="engine.evaluate_grid",quantile="0.5"} 0.001993543954464567
+repro_span_duration_seconds{span="engine.evaluate_grid",quantile="0.9"} 0.03965078151434285
+repro_span_duration_seconds{span="engine.evaluate_grid",quantile="0.99"} 0.03965078151434285
+repro_span_duration_seconds_sum{span="engine.evaluate_grid"} 0.043500000000000004
+repro_span_duration_seconds_count{span="engine.evaluate_grid"} 3
+repro_span_duration_seconds{span="quote\\"back\\\\slash",quantile="0.5"} 0.01
+repro_span_duration_seconds{span="quote\\"back\\\\slash",quantile="0.9"} 0.01
+repro_span_duration_seconds{span="quote\\"back\\\\slash",quantile="0.99"} 0.01
+repro_span_duration_seconds_sum{span="quote\\"back\\\\slash"} 0.01
+repro_span_duration_seconds_count{span="quote\\"back\\\\slash"} 1
+repro_span_duration_seconds{span="serve.sweep",quantile="0.5"} 0.25007353053460535
+repro_span_duration_seconds{span="serve.sweep",quantile="0.9"} 0.5
+repro_span_duration_seconds{span="serve.sweep",quantile="0.99"} 0.5
+repro_span_duration_seconds_sum{span="serve.sweep"} 0.75
+repro_span_duration_seconds_count{span="serve.sweep"} 2
+repro_span_duration_seconds{span="x",quantile="0.5"} 1e-06
+repro_span_duration_seconds{span="x",quantile="0.9"} 1e-06
+repro_span_duration_seconds{span="x",quantile="0.99"} 1e-06
+repro_span_duration_seconds_sum{span="x"} 1e-06
+repro_span_duration_seconds_count{span="x"} 1
+repro_span_duration_seconds{span="x!",quantile="0.5"} 3
+repro_span_duration_seconds{span="x!",quantile="0.9"} 3
+repro_span_duration_seconds{span="x!",quantile="0.99"} 3
+repro_span_duration_seconds_sum{span="x!"} 3
+repro_span_duration_seconds_count{span="x!"} 1
+repro_span_duration_seconds{span="x.y",quantile="0.5"} 1.0099504938362086e-09
+repro_span_duration_seconds{span="x.y",quantile="0.9"} 7e-09
+repro_span_duration_seconds{span="x.y",quantile="0.99"} 7e-09
+repro_span_duration_seconds_sum{span="x.y"} 7e-09
+repro_span_duration_seconds_count{span="x.y"} 2
+"""
 
 
 class TestRenderParse:
@@ -60,17 +105,29 @@ class TestRenderParse:
                 for s in by_name["requests_total"]} == \
             {"numpy": 3.0, "python": 1.0}
         assert by_name["cache_entries"][0]["value"] == 42.0
-        # Histogram: cumulative buckets, closing +Inf equals the count.
-        buckets = by_name["grid_points_bucket"]
-        assert buckets[-1]["labels"]["le"] == "+Inf"
-        assert buckets[-1]["value"] == 3.0
-        assert len(buckets) == len(HISTOGRAM_BUCKET_BOUNDS) + 1
+        # Every sketch family is a summary: quantiles, then _sum/_count.
+        assert "# TYPE grid_points summary" in text
+        assert " histogram" not in text
+        assert [s["labels"] for s in by_name["grid_points"]] == [
+            {"where": "sweep", "quantile": q} for q in ("0.5", "0.9", "0.99")]
+        assert by_name["grid_points"][-1]["value"] == 2e6
+        assert by_name["grid_points_sum"][0]["value"] == 2000510.0
         assert by_name["grid_points_count"][0]["value"] == 3.0
-        # Sketches fold into one summary family with span+quantile labels.
-        quantiles = [s for s in by_name[SKETCH_FAMILY]
+        # Span durations are one family with span+quantile labels.
+        quantiles = [s for s in by_name[SPAN_DURATION_FAMILY]
                      if s["labels"]["span"] == "engine.evaluate_grid"]
         assert {s["labels"]["quantile"] for s in quantiles} == \
             {"0.5", "0.9", "0.99"}
+
+    def test_span_family_lines_match_the_pinned_scrape(self):
+        reg = MetricsRegistry()
+        reg.counter("other_total").inc()
+        for name, values in _PINNED_SPANS.items():
+            for value in values:
+                reg.sketch(SPAN_DURATION_FAMILY, {"span": name}).observe(value)
+        text = render_prometheus(reg)
+        assert text.endswith(_PINNED_SPAN_LINES)
+        assert text.count(SPAN_DURATION_FAMILY + "{") == 3 * len(_PINNED_SPANS)
 
     def test_dotted_names_are_sanitized(self):
         reg = MetricsRegistry()
@@ -144,34 +201,31 @@ class TestRoundTripEdgeCases:
         assert {s["labels"]["path"]: s["value"] for s in samples} == \
             {"\\n": 1.0, "\n": 2.0}
 
-    def test_histogram_inf_bucket_is_cumulative_count(self):
+    def test_sketch_count_covers_values_past_the_ceiling(self):
         reg = MetricsRegistry()
-        h = reg.histogram("latency")
-        # One observation beyond the largest finite bound lands only in
-        # the +Inf bucket; the closing bucket still equals the count.
-        h.observe(float(HISTOGRAM_BUCKET_BOUNDS[-1]) * 10.0)
-        h.observe(0.5)
+        s = reg.sketch("latency")
+        # One observation beyond the bucket layout's ceiling clamps into
+        # the top bucket; _sum and _count stay exact.
+        s.observe(1e12)
+        s.observe(0.5)
         samples = parse_prometheus(render_prometheus(reg))
-        buckets = [s for s in samples if s["name"] == "latency_bucket"]
-        assert buckets[-1]["labels"]["le"] == "+Inf"
-        assert buckets[-1]["value"] == 2.0
-        # The largest finite bound has seen only the in-range point.
-        assert buckets[-2]["value"] == 1.0
-        # Cumulative: monotone non-decreasing across the bucket ladder.
-        values = [s["value"] for s in buckets]
-        assert values == sorted(values)
-        (count,) = [s for s in samples if s["name"] == "latency_count"]
+        quantiles = [q["value"] for q in samples if q["name"] == "latency"]
+        assert quantiles == sorted(quantiles)
+        assert 1e9 <= quantiles[-1] <= 1e12
+        (total,) = [q for q in samples if q["name"] == "latency_sum"]
+        assert total["value"] == 1e12 + 0.5
+        (count,) = [q for q in samples if q["name"] == "latency_count"]
         assert count["value"] == 2.0
 
-    def test_empty_histogram_renders_parseable_zero_buckets(self):
+    def test_empty_sketch_renders_parseable_nan_quantiles(self):
         reg = MetricsRegistry()
-        reg.histogram("untouched")
+        reg.sketch("untouched")
         samples = parse_prometheus(render_prometheus(reg))
         by_name = {}
         for s in samples:
             by_name.setdefault(s["name"], []).append(s)
         assert by_name["untouched_count"][0]["value"] == 0.0
-        assert all(s["value"] == 0.0 for s in by_name["untouched_bucket"])
+        assert all(math.isnan(s["value"]) for s in by_name["untouched"])
 
     def test_empty_registry_render_is_empty_and_reparses(self):
         text = render_prometheus(MetricsRegistry())
@@ -190,27 +244,14 @@ class TestRecordsRoundTrip:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         reg = registry_from_records(records)
         assert reg.counters['events_total{kind="hit"}'].value == 5.0
-        assert reg.histograms["sizes"].count == 1
+        assert reg.sketches["sizes"].count == 1
         parse_prometheus(render_prometheus(reg))
 
-    def test_legacy_dotted_names_rebuild_as_canonical(self):
-        # Compat shim: JSONL exports written before the OBS003 rename
-        # feed the current snake_case series on the read path.
-        records = [
-            {"type": "metric", "kind": "counter",
-             "name": "robust.quarantine.rows", "value": 4.0},
-            {"type": "metric", "kind": "histogram",
-             "name": "optimize.sweep.grid_points", "count": 2,
-             "sum": 10.0},
-            {"type": "metric", "kind": "gauge",
-             "name": "optimize.optimal_sd.iterations", "value": 31.0},
-        ]
-        reg = registry_from_records(records)
-        assert reg.counters["robust_quarantine_rows_total"].value == 4.0
-        assert reg.histograms["optimize_sweep_grid_points"].count == 2
-        assert reg.gauges["optimize_optimal_sd_iterations"].value == 31.0
-        # Current names pass through untouched.
-        assert "robust.quarantine.rows" not in reg.counters
+    def test_unknown_metric_kind_is_a_dataerror(self):
+        records = [{"type": "metric", "kind": "histogram", "name": "sizes",
+                    "labels": [], "count": 2}]
+        with pytest.raises(DataError, match="histogram"):
+            registry_from_records(records)
 
 
 class TestOtlp:

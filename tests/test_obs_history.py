@@ -33,11 +33,16 @@ from repro.obs.history import (
     format_trend_table,
     render_html_dashboard,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import SPAN_DURATION_FAMILY, MetricsRegistry
 from repro.robust import ErrorPolicy
 
 FIG4A = dict(n_transistors=1e7, feature_um=0.18, n_wafers=5_000,
              yield_fraction=0.4, cost_per_cm2=8.0)
+
+#: The span whose duration sketch the synthetic runs carry.
+SPAN = {"span": "engine.evaluate_grid"}
+#: Its registry key and sample-key prefix.
+SPAN_KEY = f'{SPAN_DURATION_FAMILY}{{span="engine.evaluate_grid"}}'
 
 
 @pytest.fixture()
@@ -52,7 +57,7 @@ def _registry(p99_s: float = 0.010, hits: int = 10) -> MetricsRegistry:
     reg.counter("engine_dispatch_total", {"backend": "numpy"}).inc(7)
     reg.counter("engine_chunk_retries_total", {"reason": "crash"}).inc(hits)
     reg.gauge("engine_cache_hit_rate").set(0.8)
-    sketch = reg.sketch("engine.evaluate_grid")
+    sketch = reg.sketch(SPAN_DURATION_FAMILY, SPAN)
     for i in range(60):
         sketch.observe(p99_s * (1.0 + 0.01 * ((i % 9) - 4)))
     return reg
@@ -118,7 +123,7 @@ class TestStore:
         reg = record.registry()
         assert reg.counters[
             'engine_dispatch_total{backend="numpy"}'].value == 7.0
-        assert reg.sketches["engine.evaluate_grid"].count == 60
+        assert reg.sketches[SPAN_KEY].count == 60
 
     def test_record_run_validates_inputs(self, store):
         with pytest.raises(DomainError):
@@ -150,11 +155,11 @@ class TestStore:
                                 {"backend": "numpy"})
         assert [p.value for p in counters] == [7.0, 7.0, 7.0]
         assert counters[0].run_id == 1 and counters[-1].run_id == 3
-        p99 = store.series("engine.evaluate_grid", field="p99")
+        p99 = store.series(SPAN_DURATION_FAMILY, SPAN, field="p99")
         assert len(p99) == 3 and all(p.value > 0 for p in p99)
         assert store.series("no_such_metric") == []
         keys = store.series_keys()
-        assert "engine.evaluate_grid:p99" in keys
+        assert f"{SPAN_KEY}:p99" in keys
         assert "run:wall_time_s" in keys
 
     def test_writes_are_atomic_under_threads(self, tmp_path):
@@ -184,14 +189,14 @@ class TestStore:
 class TestFlatten:
     def test_flatten_covers_all_metric_kinds(self):
         reg = _registry()
-        reg.histogram("engine_grid_points").observe(100.0)
+        reg.sketch("engine_grid_points").observe(100.0)
         samples = flatten_samples(reg, {"retries": 3,
                                         "breaker_state": "open"})
         assert samples['engine_dispatch_total{backend="numpy"}'] == 7.0
         assert samples["engine_cache_hit_rate"] == 0.8
-        assert samples["engine_grid_points:mean"] == 100.0
+        assert samples["engine_grid_points:p50"] == 100.0
         assert samples["engine_grid_points:count"] == 1.0
-        assert samples["engine.evaluate_grid:p50"] > 0.0
+        assert samples[f"{SPAN_KEY}:p50"] > 0.0
         assert samples["supervision:retries"] == 3.0
         assert samples["supervision:breaker_open"] == 1.0
 
@@ -202,9 +207,9 @@ class TestDrift:
         report = detect_drift(store)
         assert not report.ok
         flagged = {v.key for v in report.flagged}
-        assert "engine.evaluate_grid:p99" in flagged
+        assert f"{SPAN_KEY}:p99" in flagged
         verdict = {v.key: v for v in report.verdicts}[
-            "engine.evaluate_grid:p99"]
+            f"{SPAN_KEY}:p99"]
         assert verdict.direction == "high"
         assert verdict.latest > 9 * verdict.median
         # Stable series stayed inside their band.
@@ -304,7 +309,7 @@ class TestReporting:
         _populate(store, n_runs=20, last_p99=0.100)
         report = detect_drift(store)
         table = format_trend_table(store, drift=report)
-        assert "engine.evaluate_grid:p99" in table
+        assert f"{SPAN_KEY}:p99" in table
         assert "drift" in table
         assert "█" in table  # the regression spike dominates the sparkline
 
@@ -383,7 +388,9 @@ class TestPayloadFormat:
         (payload_text,) = store._conn.execute(
             "SELECT payload FROM runs").fetchone()
         payload = json.loads(payload_text)
-        assert set(payload) == {"metrics", "sketches", "supervision",
-                                "samples"}
-        assert payload["sketches"]["engine.evaluate_grid"]["count"] == 60
-        assert payload["sketches"]["engine.evaluate_grid"]["p99"] > 0
+        assert set(payload) == {"metrics", "supervision", "samples"}
+        (sketch,) = payload["metrics"]["sketches"]
+        assert (sketch["name"], sketch["labels"]) == (
+            SPAN_DURATION_FAMILY, [["span", "engine.evaluate_grid"]])
+        assert sketch["count"] == 60
+        assert payload["samples"][f"{SPAN_KEY}:p99"] > 0

@@ -68,24 +68,24 @@ def test_disabled_tracing_overhead_under_five_percent():
         f"(traced {min(traced_times):.4f}s vs bare {min(bare_times):.4f}s)")
 
 
-def test_disabled_observe_duration_is_guard_only():
-    """``observe_duration`` while disabled must be one global check.
+def test_disabled_observe_is_guard_only():
+    """``observe`` while disabled must be one global check.
 
     Same interleaved min-of-repeats protocol as above, compared against
     a same-shape no-op call; the generous 3x bound only trips if the
     guard pattern breaks (e.g. the sketch is created before the check).
     """
 
-    def noop(name, seconds):
+    def noop(name, value, labels=None):
         return None
 
     def run_observed():
         for _ in range(500):
-            obs.observe_duration("overhead.probe", 1e-3)
+            obs.observe("overhead_probe", 1e-3)
 
     def run_noop():
         for _ in range(500):
-            noop("overhead.probe", 1e-3)
+            noop("overhead_probe", 1e-3)
 
     run_observed()
     run_noop()
@@ -104,6 +104,6 @@ def test_disabled_observe_duration_is_guard_only():
 
     ratio = min(observed_times) / min(noop_times)
     assert ratio < 3.0, (
-        f"disabled observe_duration costs {ratio:.2f}x a no-op call")
+        f"disabled observe costs {ratio:.2f}x a no-op call")
     # And nothing must have been recorded while disabled.
     assert obs.get_registry().is_empty()

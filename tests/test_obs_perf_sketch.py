@@ -101,13 +101,15 @@ def test_quantile_out_of_range_rejected():
 
 def test_huge_duration_clamps_to_top_bucket():
     sk = DurationSketch("top")
-    sk.observe(1e9)  # ~31 years; beyond the layout ceiling
-    assert sk.max == 1e9
+    sk.observe(1e10)  # beyond the layout ceiling (~1.15e9)
+    assert sk.max == 1e10
     (index,) = sk.buckets
-    assert index == DurationSketch.bucket_index(1e9)
+    assert index == DurationSketch.bucket_index(1e10)
     # A second absurd value lands in the same (clamped) bucket.
     sk.observe(1e12)
     assert sk.buckets[index] == 2
+    # 1e9, the top of the range the layout must resolve, stays below it.
+    assert DurationSketch.bucket_index(1e9) < index
 
 
 # -- merge ---------------------------------------------------------------

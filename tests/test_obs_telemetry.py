@@ -136,8 +136,11 @@ class TestWorkerRoundTrip:
         right = MetricsRegistry.from_dict(p2.metrics)
         right.merge(MetricsRegistry.from_dict(p1.metrics))
         assert left.to_dict()["counters"] == right.to_dict()["counters"]
+        assert left.to_dict()["sketches"] == right.to_dict()["sketches"]
         key = 'task_points_total{backend="py"}'
         assert left.counters[key].value == 14.0
+        span_key = 'repro_span_duration_seconds{span="task.inner"}'
+        assert left.sketches[span_key].count == 2
 
     def test_payload_metrics_are_json_safe(self):
         import json
@@ -259,7 +262,7 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         total = self.THREADS * self.PER_THREAD
-        assert reg.histograms["hammer_latency"].count == total
+        assert reg.sketches["hammer_latency"].count == total
         assert reg.sketches["hammer_sketch"].count == total
         assert reg.gauges["hammer_gauge"].value == float(self.PER_THREAD - 1)
 

@@ -13,6 +13,7 @@ dataclasses on both ends. Pinned here:
   request span/counter telemetry.
 """
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -23,6 +24,7 @@ import pytest
 
 from repro import obs
 from repro.api import Scenario, evaluate
+from repro.obs import parse_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServeClient, ServeError, start_server
 
@@ -179,6 +181,28 @@ class TestErrorContract:
         body = json.loads(excinfo.value.read())
         assert body["code"] == "DomainError"
 
+    @pytest.mark.parametrize("length, body", [
+        ("abc", b"{}"),                 # non-integer Content-Length
+        ("-5", b"{}"),                  # negative Content-Length
+        (None, b'{"scenario": "\xff\xfe"}'),  # body is not UTF-8
+    ], ids=["non-integer-length", "negative-length", "non-utf8-body"])
+    def test_malformed_post_is_400_not_a_dropped_connection(
+            self, server, length, body):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=10)
+        try:
+            conn.putrequest("POST", "/evaluate")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length",
+                           str(len(body)) if length is None else length)
+            conn.endheaders(body)
+            reply = conn.getresponse()
+            assert reply.status == 400
+            error = json.loads(reply.read())
+        finally:
+            conn.close()
+        assert error["code"] == "DomainError"
+
     def test_unknown_field_is_400(self, server):
         # Bypass the client (which validates payloads before posting):
         # a raw body with an unknown field must be rejected server-side.
@@ -279,12 +303,29 @@ class TestTelemetry:
         assert counters[
             'serve_requests_total{route="evaluate",status="422"}'] == 1
 
-    def test_request_spans_feed_the_duration_sketches(self, client):
+    def test_request_spans_feed_the_duration_sketches(self):
         obs.reset()
-        with obs.enabled():
-            client.evaluate(BASE)
-        spans = [sp.name for sp in obs.get_tracer().spans]
+        try:
+            with obs.enabled(), start_server() as handle:
+                client = ServeClient(handle.url)
+                client.evaluate(BASE)
+                client.sweep(BASE, values=[150.0, 300.0, 600.0])
+                text = client.metrics()
+            spans = [sp.name for sp in obs.get_tracer().spans]
+        finally:
+            obs.reset()
         assert "serve.evaluate" in spans
+        # The live scrape is valid text format with every distribution a
+        # summary: span durations and the former histogram families.
+        samples = parse_prometheus(text)
+        assert "# TYPE repro_span_duration_seconds summary" in text
+        assert "# TYPE engine_grid_points summary" in text
+        assert not [line for line in text.splitlines()
+                    if line.startswith("# TYPE") and
+                    line.endswith(" histogram")]
+        assert {s["labels"]["span"] for s in samples
+                if s["name"] == "repro_span_duration_seconds_count"} >= {
+            "serve.evaluate", "serve.sweep"}
 
     def test_healthz_reports_schema_contract(self, client):
         payload = client.healthz()
